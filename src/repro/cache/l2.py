@@ -32,6 +32,14 @@ from repro.mem.request import AccessKind, MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
 from repro.sim.config import GPUConfig
 
+#: Why :meth:`L2Slice._resolve` could not retire a bank output.
+#: A load hit waiting for the data port or a response-queue slot.
+_BLOCKED_HIT = 1
+#: A miss whose set has every way reserved (counted per retry).
+_BLOCKED_RESERVE = 2
+#: A miss waiting for an MSHR entry, merge slot or miss-queue slots.
+_BLOCKED_MISS = 3
+
 
 @dataclass(slots=True)
 class _Bank:
@@ -43,6 +51,15 @@ class _Bank:
     accepted_this_cycle: bool = False
     #: Cycles the output register held a request it could not retire.
     blocked_cycles: int = 0
+    #: Retry-on-change memo for a blocked output (fast mode only): the
+    #: output is not re-resolved before ``retry_until`` while the slice
+    #: epoch still equals ``retry_epoch``.
+    retry_until: int = 0
+    retry_epoch: int = -1
+    #: Why the output is blocked (one of the ``_BLOCKED_*`` reasons).
+    blocked_on: int = 0
+    #: Local line of a blocked hit, re-touched on every skipped cycle.
+    blocked_line: int = -1
 
     def can_accept(self) -> bool:
         return not self.accepted_this_cycle and len(self.pipe) < self.depth
@@ -84,6 +101,7 @@ class L2Slice(Component):
         ]
         self._port_cycles = config.l2_port_cycles
         self._port_free_at = 0
+        self._fast_mode = False
         #: Responses awaiting the data port (produced by fills).
         self._pending_responses: list[MemoryRequest] = []
         self._pending_cap = 4 * cfg.mshr_max_merge
@@ -109,6 +127,12 @@ class L2Slice(Component):
         self._emit_pending_responses(now)
         self._step_bank_outputs(now)
         self._step_bank_inputs(now)
+
+    def set_fast_mode(self, enabled: bool) -> None:
+        super().set_fast_mode(enabled)
+        self._fast_mode = enabled
+        for bank in self.banks:
+            bank.retry_until = 0
 
     def next_wake(self, now: int) -> int:
         if (
@@ -172,18 +196,60 @@ class L2Slice(Component):
     # ------------------------------------------------------------------
     # bank pipeline
     # ------------------------------------------------------------------
-    def _step_bank_outputs(self, now: int) -> None:
-        for bank in self.banks:
-            if bank.output is None and bank.pipe.ready(now):
-                bank.output = bank.pipe.pop()
-            if bank.output is not None:
-                if self._resolve(bank.output, now):
-                    bank.output = None
-                else:
-                    bank.blocked_cycles += 1
+    def _slice_epoch(self) -> int:
+        """Monotone count of events that can unblock a bank output.
 
-    def _resolve(self, request: MemoryRequest, now: int) -> bool:
-        """Try to retire one bank output; False => retry next cycle."""
+        MSHR allocations, merges and releases (every tag reservation and
+        fill comes with one) change hit/miss and the miss-path resources;
+        miss-queue and response-queue pops free the slots a blocked
+        output waits for.  Pushes only ever take slots away.
+        """
+        mshr = self.mshr
+        return (
+            mshr.allocations + mshr.merges + mshr.releases
+            + self.miss_queue.pops + self.response_queue.pops
+        )
+
+    def _step_bank_outputs(self, now: int) -> None:
+        fast = self._fast_mode
+        for bank in self.banks:
+            request = bank.output
+            if request is None:
+                if not bank.pipe.ready(now):
+                    continue
+                request = bank.output = bank.pipe.pop()
+            elif now < bank.retry_until and bank.retry_epoch == self._slice_epoch():
+                # Retry on change: nothing the blocked output waits on has
+                # moved, so the retry would fail again.  Replay its
+                # per-cycle side effects instead.
+                bank.blocked_cycles += 1
+                if bank.blocked_on == _BLOCKED_HIT:
+                    self.tags.lookup(bank.blocked_line, now, count=False)
+                elif bank.blocked_on == _BLOCKED_RESERVE:
+                    self.tags.reservation_fails += 1
+                continue
+            blocked = self._resolve(request, now)
+            if blocked is None:
+                bank.output = None
+                continue
+            bank.blocked_cycles += 1
+            if fast:
+                bank.blocked_on = blocked
+                bank.retry_epoch = self._slice_epoch()
+                if blocked == _BLOCKED_HIT:
+                    bank.blocked_line = self._mapper.local_line(request.line)
+                    port_free_at = self._port_free_at
+                    bank.retry_until = (
+                        port_free_at if now < port_free_at else WAKE_NEVER)
+                else:
+                    bank.retry_until = WAKE_NEVER
+
+    def _resolve(self, request: MemoryRequest, now: int) -> int | None:
+        """Try to retire one bank output.
+
+        Returns None once it retired, else why it is blocked (one of the
+        ``_BLOCKED_*`` reasons); a blocked output retries next cycle.
+        """
         local = self._mapper.local_line(request.line)
         hit = self.tags.lookup(local, now, count=False)
         if "l2_probed" not in request.timestamps:
@@ -200,42 +266,40 @@ class L2Slice(Component):
                 self.store_completions += 1
                 request.stamp("l2_hit", now)
                 request.retired = True  # write-through store ends at L2
-                return True
+                return None
             # Load hit: needs the data port and a response-queue slot.
             if now < self._port_free_at or not self.response_queue.can_push():
-                return False
+                return _BLOCKED_HIT
             request.is_response = True
             request.stamp("l2_hit", now)
             request.stamp("l2_out", now)
             self.response_queue.push(request, now)
             self._port_free_at = now + self._port_cycles
             self.port_busy_cycles += self._port_cycles
-            return True
+            return None
         # Miss path.
         probe = self.mshr.probe(request.line)
         if probe is MSHRProbe.MERGEABLE:
             self.mshr.merge(request, now)
             request.l2_miss = True
             request.stamp("l2_miss", now)
-            return True
-        if probe is MSHRProbe.ENTRY_FULL:
-            return False
-        if self.mshr.full:
-            return False
+            return None
+        if probe is MSHRProbe.ENTRY_FULL or self.mshr.full:
+            return _BLOCKED_MISS
         # Reserving may evict a dirty line needing a writeback slot, so
         # demand two free miss-queue slots before committing.
         if self.miss_queue.capacity - len(self.miss_queue) < 2:
-            return False
+            return _BLOCKED_MISS
         evicted = self.tags.reserve(local, now)
         if evicted is False:
-            return False  # reservation failure: every way pending a fill
+            return _BLOCKED_RESERVE  # every way pending a fill
         self.mshr.allocate(request, now)
         request.l2_miss = True
         request.stamp("l2_miss", now)
         if evicted is not None and evicted.dirty:
             self._emit_writeback(evicted.line, request, now)
         self.miss_queue.push(request, now)
-        return True
+        return None
 
     def _emit_writeback(
         self, local_line: int, cause: MemoryRequest, now: int

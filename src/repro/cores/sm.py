@@ -127,6 +127,10 @@ class SM(Component):
         #: Fill-heap length when the current window opened; a mismatch
         #: during a skipped cycle means an external fill arrived.
         self._fill_len = 0
+        #: L1 miss-queue pops when a stalled-head window opened; a
+        #: mismatch means the request network freed a slot.
+        self._l1_missq = self.l1.miss_queue
+        self._window_pops = 0
         #: All warps retired (their loads necessarily completed).  A plain
         #: attribute maintained by :meth:`_retire`; read every cycle by
         #: ``GPU.done``.
@@ -138,14 +142,18 @@ class SM(Component):
     def step(self, now: int) -> None:
         fill_heap = self._fill_heap
         hit_heap = self._hit_heap
-        if now < self._skip_until:
-            # Inside a local burst window: unless an external event (a fill
-            # arriving from the response network) cuts it short, this cycle
-            # is deterministic — defer it for batched replay.  Writebacks
-            # and the hit pipe only change in our own steps and the window
-            # was clamped to their due times when it opened, so the fill
-            # heap is the one live wake source; a length change is the
-            # only way it gains work while we sleep.
+        if now < self._skip_until and (
+            not self._ldst_queue or self._l1_missq.pops == self._window_pops
+        ):
+            # Inside a local window: unless an external event cuts it
+            # short, this cycle is deterministic — defer it for batched
+            # replay.  Writebacks and the hit pipe only change in our own
+            # steps and the window was clamped to their due times when it
+            # opened, so two external sources remain: a fill arriving from
+            # the response network (a fill-heap length change), and, for a
+            # stalled LD/ST head, the request network freeing a miss-queue
+            # slot (a miss-queue pop, checked above; it forces a real step
+            # that retries the head).
             if len(fill_heap) == self._fill_len:
                 self._skipped += 1
                 return
@@ -182,22 +190,29 @@ class SM(Component):
         self._fetch_due = False
         if self.done and not self._ldst_queue and self.l1.is_idle():
             self._quiesced = True
-        elif (
-            self._fast_mode
-            and not self._ldst_queue
-            and not self._l1_writebacks
-        ):
+        elif self._fast_mode and not self._l1_writebacks:
             # Open the next local window: from the post-step state, the
             # next `window` cycles are deterministic regardless of what
-            # the rest of the machine does (fill arrivals are checked per
-            # skipped cycle above).  Two shapes qualify: a pure compute
-            # burst (replayed as round-robin issue), and a fully blocked
-            # SM waiting on loads (replayed as no-ready cycles, woken by
-            # the fill-heap guard).  The window is clamped to the earliest
-            # event already sitting in the completion heaps, so the
-            # skip-cycle guard only has to watch for *new* fills.
+            # the rest of the machine does (fill arrivals and miss-queue
+            # pops are checked per skipped cycle above).  Three shapes
+            # qualify: a pure compute burst (replayed as round-robin
+            # issue), a fully blocked SM waiting on loads (replayed as
+            # no-ready cycles), and an LD/ST head stalled on the current
+            # L1 resource epoch while issue cannot proceed (replayed as
+            # stall cycles plus no-ready or starved cycles).  The window
+            # is clamped to the earliest event already sitting in the
+            # completion heaps, so the skip-cycle guard only has to watch
+            # for *new* fills.
             until = 0
-            if len(self.scheduler):
+            if self._ldst_queue:
+                if (
+                    self._ldst_queue[0].rid == self._stalled_rid
+                    and self.l1.resource_epoch() == self._stalled_epoch
+                    and (self._issue_frozen or not len(self.scheduler))
+                ):
+                    until = WAKE_NEVER
+                    self._window_pops = self._l1_missq.pops
+            elif len(self.scheduler):
                 if self._lrr_queue is not None:
                     window = self._burst_horizon()
                     if window:

@@ -13,7 +13,7 @@ Storage layout
 --------------
 
 The timing-critical state lives in a :class:`BankFile`: flat integer
-vectors (``busy_until``, ``open_row``) indexed by bank, which the
+lists (``busy_until``, ``open_row``) indexed by bank, which the
 controller and the scheduling policies scan every cycle without touching
 a Python object per bank.  :class:`BankState` is a property-backed *view*
 of one slot — the stable per-bank interface used by statistics, tests and
@@ -24,7 +24,6 @@ vectors and vice versa.
 from __future__ import annotations
 
 from repro.sim.config import DRAMConfig
-from repro.utils.vec import IntVec, int_vec, vec_fill, vec_max_inplace, vec_min
 
 #: ``open_row`` sentinel for a closed (precharged) bank.  Real row ids are
 #: non-negative, so equality against a request's row never matches it.
@@ -47,10 +46,10 @@ class BankFile:
     def __init__(self, n_banks: int, make_views: bool = True) -> None:
         self.n_banks = n_banks
         #: Cycle until which each bank is busy with its current command.
-        self.busy_until: IntVec = int_vec(n_banks, 0)
+        self.busy_until = [0] * n_banks
         #: Open row per bank (:data:`NO_ROW` = closed).
-        self.open_row: IntVec = int_vec(n_banks, NO_ROW)
-        #: Row-buffer outcome statistics (cold path: plain lists).
+        self.open_row = [NO_ROW] * n_banks
+        #: Row-buffer outcome statistics.
         self.row_hits = [0] * n_banks
         self.row_conflicts = [0] * n_banks
         self.row_closed = [0] * n_banks
@@ -61,12 +60,12 @@ class BankFile:
 
     def min_busy(self) -> int:
         """Earliest cycle at which any bank's timing expires."""
-        return vec_min(self.busy_until)
+        return min(self.busy_until)
 
     def lockout(self, until: int) -> None:
         """Refresh: extend every bank's busy window and close its row."""
-        vec_max_inplace(self.busy_until, until)
-        vec_fill(self.open_row, NO_ROW)
+        self.busy_until[:] = [max(busy, until) for busy in self.busy_until]
+        self.open_row[:] = [NO_ROW] * self.n_banks
 
 
 class BankState:
@@ -92,7 +91,7 @@ class BankState:
     @property
     def open_row(self) -> int | None:
         row = self._file.open_row[self._slot]
-        return None if row < 0 else int(row)
+        return None if row < 0 else row
 
     @open_row.setter
     def open_row(self, row: int | None) -> None:
@@ -100,7 +99,7 @@ class BankState:
 
     @property
     def busy_until(self) -> int:
-        return int(self._file.busy_until[self._slot])
+        return self._file.busy_until[self._slot]
 
     @busy_until.setter
     def busy_until(self, cycle: int) -> None:

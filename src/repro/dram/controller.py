@@ -64,6 +64,12 @@ class DRAMChannel(Component):
         )
         self._reads_in_flight = 0
         self._next_refresh = cfg.refresh_interval or None
+        #: Retry-on-change memo for a failed command selection (fast mode
+        #: only): ``select`` is not re-run before ``_select_until`` while
+        #: the channel epoch still equals ``_select_epoch``.
+        self._fast_mode = False
+        self._select_until = 0
+        self._select_epoch = -1
         #: Set by the GPU wiring: the L2 slice whose miss queue we drain.
         self.l2 = None
         # --- statistics ---
@@ -89,6 +95,11 @@ class DRAMChannel(Component):
         self._retire(now)
         self._admit(now)
         self._issue(now)
+
+    def set_fast_mode(self, enabled: bool) -> None:
+        super().set_fast_mode(enabled)
+        self._fast_mode = enabled
+        self._select_until = 0
 
     def next_wake(self, now: int) -> int:
         # Mirrors step(): the idle fast path defers even refreshes, so an
@@ -163,8 +174,26 @@ class DRAMChannel(Component):
             request.dram_row = self._mapper.dram_row(request.line)
             self.sched_queue.push(request, now)
 
+    def _channel_epoch(self) -> int:
+        """Monotone count of events that can change a failed selection.
+
+        Scheduler-queue pushes and pops change the candidate set (a CAS
+        also moves reads in flight), return-queue pushes and pops move
+        the read headroom (a retire also moves reads in flight), and a
+        refresh closes every row.  Bank timing and open rows otherwise
+        change only through a command, i.e. a successful selection.
+        """
+        sched = self.sched_queue
+        ret = self.return_queue
+        return sched.pushes + sched.pops + ret.pushes + ret.pops + self.refreshes
+
     def _issue(self, now: int) -> None:
         if self.sched_queue.empty:
+            return
+        if now < self._select_until and self._select_epoch == self._channel_epoch():
+            # The last selection found nothing to issue, and neither its
+            # inputs nor its timing horizon have moved since: it would
+            # fail again, with no side effect to replay.
             return
         # Both command kinds need a bank whose timing has expired, so a
         # channel with every bank mid-access can skip the queue scan.
@@ -195,6 +224,10 @@ class DRAMChannel(Component):
             cas_ok,
         )
         if choice is None:
+            if self._fast_mode:
+                self._select_epoch = self._channel_epoch()
+                self._select_until = self._select_horizon(
+                    now, bus_gate_ok, bus_window)
             return
         command, request = choice
         bank = request.dram_bank
@@ -224,6 +257,20 @@ class DRAMChannel(Component):
             self._reads_in_flight += 1
             self.reads += 1
         self._completions.insert_at(request, done)
+
+    def _select_horizon(self, now: int, bus_gate_ok: bool, bus_window: int) -> int:
+        """First cycle after ``now`` at which a failed selection can change
+        without a channel-epoch event: a queued request's bank becomes
+        ready, or the bus-booking gate opens."""
+        until = WAKE_NEVER
+        if not bus_gate_ok:
+            until = self._bus_free_at - self._config.dram.t_cas - bus_window
+        busy_until = self.bank_file.busy_until
+        for request in self.sched_queue._items:
+            ready = busy_until[request.dram_bank]
+            if now < ready < until:
+                until = ready
+        return until
 
     # ------------------------------------------------------------------
     # bookkeeping

@@ -14,7 +14,7 @@ stays queued until its CAS).  The policy picks which command:
 * **FCFS** — strictly serves the oldest request (activating its row if
   needed); the in-order baseline for ablations.
 
-Policies scan flat per-bank vectors (see :class:`repro.dram.bankstate.
+Policies scan flat per-bank lists (see :class:`repro.dram.bankstate.
 BankFile`) and the bank/row coordinates the controller caches on each
 request at admission (``request.dram_bank`` / ``request.dram_row``), so
 the first-ready scan is index arithmetic with no per-bank objects or
@@ -28,7 +28,6 @@ from collections.abc import Callable
 from repro.errors import ConfigError
 from repro.mem.queue import StatQueue
 from repro.mem.request import MemoryRequest
-from repro.utils.vec import IntVec
 
 #: Command kinds returned by a scheduler.
 CAS = "cas"
@@ -43,15 +42,15 @@ class DRAMScheduler:
     def select(
         self,
         queue: StatQueue[MemoryRequest],
-        busy_until: IntVec,
-        open_row: IntVec,
+        busy_until: list[int],
+        open_row: list[int],
         now: int,
         cas_ok: Callable[[MemoryRequest], bool],
     ) -> tuple[str, MemoryRequest] | None:
         """Pick ``(command, request)`` or None if nothing can issue.
 
         ``busy_until`` and ``open_row`` are the channel's flat per-bank
-        vectors; queued requests carry cached ``dram_bank`` / ``dram_row``
+        lists; queued requests carry cached ``dram_bank`` / ``dram_row``
         coordinates.  A CAS candidate needs its bank ready
         (``now >= busy_until[bank]``) with the right row open and must
         pass ``cas_ok`` (bus slot within reach, return-path headroom).

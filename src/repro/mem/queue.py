@@ -96,10 +96,12 @@ class StatQueue(Generic[T]):
         return item
 
     def remove(self, item: T, now: int) -> None:
-        """Remove ``item`` from anywhere in the queue (identity match).
+        """Remove ``item`` from anywhere in the queue (first ``==`` match).
 
         Used by out-of-order consumers such as the FR-FCFS DRAM scheduler;
         maintains the same occupancy statistics as :meth:`pop`.
+        :class:`~repro.mem.request.MemoryRequest` compares by identity, so
+        a request is never mistaken for a field-equal twin.
         """
         try:
             self._items.remove(item)

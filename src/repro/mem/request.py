@@ -29,12 +29,14 @@ class AccessKind(enum.Enum):
         return self is not AccessKind.LOAD
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class MemoryRequest:
     """One line-sized memory transaction.
 
     ``line`` is the line *index* (byte address // line size); all routing
-    and cache indexing operate on line indices.
+    and cache indexing operate on line indices.  Requests compare (and
+    hash) by identity: two transactions with equal fields are still two
+    transactions.
     """
 
     rid: int

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.mem.queue import StatQueue
+from repro.mem.request import AccessKind, MemoryRequest
 
 
 class TestStatQueueBasics:
@@ -43,6 +44,18 @@ class TestStatQueueBasics:
         q.remove("b", 1)
         assert list(q) == ["a", "c"]
         assert q.pops == 1
+
+    def test_remove_takes_the_request_not_an_equal_twin(self):
+        first, twin = (
+            MemoryRequest(rid=7, kind=AccessKind.LOAD, line=3, sm_id=0, warp_id=0)
+            for _ in range(2)
+        )
+        q = StatQueue("q", 4)
+        q.push(first, 0)
+        q.push(twin, 0)
+        q.remove(twin, 1)
+        assert len(q) == 1
+        assert q.peek() is first
 
     def test_remove_absent_raises(self):
         q = StatQueue("q", 4)
