@@ -72,6 +72,10 @@ class L1DCache:
         self.miss_queue: StatQueue[MemoryRequest] = StatQueue(
             f"{name}.miss_queue", cfg.miss_queue_depth
         )
+        #: Occupancy aliases (containers mutated in place) for the
+        #: per-access resource checks: a ``len()`` instead of an accessor.
+        self._mshr_entries = self.mshr._entries
+        self._missq_items = self.miss_queue._items
         self._hit_pipe: DelayPipe[MemoryRequest] = DelayPipe(
             f"{name}.hit_pipe", cfg.hit_latency
         )
@@ -109,7 +113,7 @@ class L1DCache:
     # ------------------------------------------------------------------
     def try_access(self, request: MemoryRequest, now: int) -> AccessResult:
         """Present one transaction; returns how it was disposed."""
-        request.stamp("l1_access", now)
+        request.timestamps["l1_access"] = now
         if request.kind is AccessKind.STORE:
             return self._access_store(request, now)
         return self._access_load(request, now)
@@ -117,26 +121,26 @@ class L1DCache:
     def _access_load(self, request: MemoryRequest, now: int) -> AccessResult:
         if self.tags.lookup(request.line, now):
             self.hits += 1
-            request.stamp("l1_hit", now)
+            request.timestamps["l1_hit"] = now
             self._hit_pipe.insert(request, now)
             return AccessResult.HIT
         probe = self.mshr.probe(request.line)
         if probe is MSHRProbe.MERGEABLE:
             self.mshr.merge(request, now)
-            request.stamp("l1_miss", now)
+            request.timestamps["l1_miss"] = now
             return AccessResult.QUEUED
         if probe is MSHRProbe.ENTRY_FULL:
             self.stall_counts[AccessResult.STALL_MERGE_FULL] += 1
             return AccessResult.STALL_MERGE_FULL
         # New miss: needs an MSHR entry and (unless magic) a miss-queue slot.
-        if self.mshr.full:
+        if len(self._mshr_entries) >= self.mshr.capacity:
             self.stall_counts[AccessResult.STALL_MSHR_FULL] += 1
             return AccessResult.STALL_MSHR_FULL
-        if not self._magic and not self.miss_queue.can_push():
+        if not self._magic and len(self._missq_items) >= self.miss_queue.capacity:
             self.stall_counts[AccessResult.STALL_MISSQ_FULL] += 1
             return AccessResult.STALL_MISSQ_FULL
         self.mshr.allocate(request, now)
-        request.stamp("l1_miss", now)
+        request.timestamps["l1_miss"] = now
         self.misses_issued += 1
         if self._magic:
             self._fill_pipe.insert_at(request, now + self._magic_latency)
@@ -150,12 +154,12 @@ class L1DCache:
         # Write-through with write-evict (the Fermi/paper baseline): a store
         # hit invalidates the local copy so later loads refetch the
         # (updated) line from L2, and every store travels downstream.
-        if not self._magic and not self.miss_queue.can_push():
+        if not self._magic and len(self._missq_items) >= self.miss_queue.capacity:
             self.stall_counts[AccessResult.STALL_MISSQ_FULL] += 1
             return AccessResult.STALL_MISSQ_FULL
         self.tags.invalidate(request.line)
         self.stores_sent += 1
-        request.stamp("l1_store", now)
+        request.timestamps["l1_store"] = now
         if not self._magic:
             self.miss_queue.push(request, now)
         else:
@@ -170,25 +174,25 @@ class L1DCache:
         if self.tags.lookup(request.line, now):
             self.tags.mark_dirty(request.line)
             self.store_hits_local += 1
-            request.stamp("l1_store", now)
+            request.timestamps["l1_store"] = now
             request.retired = True  # absorbed locally; no downstream traffic
             return AccessResult.HIT
         probe = self.mshr.probe(request.line)
         if probe is MSHRProbe.MERGEABLE:
             self.mshr.merge(request, now)  # taints the entry dirty
-            request.stamp("l1_miss", now)
+            request.timestamps["l1_miss"] = now
             return AccessResult.QUEUED
         if probe is MSHRProbe.ENTRY_FULL:
             self.stall_counts[AccessResult.STALL_MERGE_FULL] += 1
             return AccessResult.STALL_MERGE_FULL
-        if self.mshr.full:
+        if len(self._mshr_entries) >= self.mshr.capacity:
             self.stall_counts[AccessResult.STALL_MSHR_FULL] += 1
             return AccessResult.STALL_MSHR_FULL
-        if not self._magic and not self.miss_queue.can_push():
+        if not self._magic and len(self._missq_items) >= self.miss_queue.capacity:
             self.stall_counts[AccessResult.STALL_MISSQ_FULL] += 1
             return AccessResult.STALL_MISSQ_FULL
         self.mshr.allocate(request, now)  # records has_store
-        request.stamp("l1_miss", now)
+        request.timestamps["l1_miss"] = now
         self.misses_issued += 1
         if self._magic:
             self._fill_pipe.insert_at(request, now + self._magic_latency)
@@ -234,7 +238,10 @@ class L1DCache:
             self.writebacks_sent += len(self._pending_writebacks)
             self._pending_writebacks.clear()
             return
-        while self._pending_writebacks and self.miss_queue.can_push():
+        while (
+            self._pending_writebacks
+            and len(self._missq_items) < self.miss_queue.capacity
+        ):
             line = self._pending_writebacks.pop(0)
             writeback = MemoryRequest(
                 rid=-(line + 1) & 0x7FFFFFFF,
@@ -243,7 +250,7 @@ class L1DCache:
                 sm_id=self.sm_id,
                 warp_id=-1,
             )
-            writeback.stamp("l1_writeback", now)
+            writeback.timestamps["l1_writeback"] = now
             self.writebacks_sent += 1
             self.miss_queue.push(writeback, now)
 
@@ -262,12 +269,12 @@ class L1DCache:
     # bookkeeping
     # ------------------------------------------------------------------
     def is_idle(self) -> bool:
-        return (
-            len(self.mshr) == 0
-            and self.miss_queue.empty
-            and self._hit_pipe.empty
-            and self._fill_pipe.empty
-            and not self._pending_writebacks
+        return not (
+            self._mshr_entries
+            or self._missq_items
+            or self._hit_pipe._fifo
+            or self._fill_pipe._fifo
+            or self._pending_writebacks
         )
 
     def finalize(self, now: int) -> None:

@@ -61,9 +61,6 @@ class _Bank:
     #: Local line of a blocked hit, re-touched on every skipped cycle.
     blocked_line: int = -1
 
-    def can_accept(self) -> bool:
-        return not self.accepted_this_cycle and len(self.pipe) < self.depth
-
 
 class L2Slice(Component):
     """L2 cache slice + queue set for one memory partition."""
@@ -92,6 +89,11 @@ class L2Slice(Component):
         self.response_queue: StatQueue[MemoryRequest] = StatQueue(
             f"{name}.response_queue", cfg.response_queue_depth
         )
+        #: Occupancy aliases (containers mutated in place) for the
+        #: per-cycle resource checks: a ``len()`` instead of an accessor.
+        self._access_items = self.access_queue._items
+        self._respq_items = self.response_queue._items
+        self._mshr_entries = self.mshr._entries
         self.banks = [
             _Bank(
                 pipe=DelayPipe(f"{name}.bank{i}", cfg.bank_latency),
@@ -147,9 +149,9 @@ class L2Slice(Component):
         for bank in self.banks:
             if bank.output is not None:
                 return now
-            heap = bank.pipe._heap
-            if heap and heap[0][0] < wake:
-                wake = heap[0][0]
+            fifo = bank.pipe._fifo
+            if fifo and fifo[0][0] < wake:
+                wake = fifo[0][0]
         return wake if wake > now else now
 
     # ------------------------------------------------------------------
@@ -160,7 +162,7 @@ class L2Slice(Component):
         if self.dram is None:
             return
         return_queue = self.dram.return_queue
-        if return_queue.empty:
+        if not return_queue._items:
             return
         if len(self._pending_responses) >= self._pending_cap:
             return  # back-pressure towards DRAM
@@ -170,11 +172,11 @@ class L2Slice(Component):
         entry = self.mshr.release(line, now)
         self.tags.fill(local, now, dirty=entry.has_store)
         self.fills += 1
-        response.stamp("l2_fill", now)
+        response.timestamps["l2_fill"] = now
         for original in entry.requests:
             if original.kind is AccessKind.LOAD:
                 original.is_response = True
-                original.stamp("l2_fill", now)
+                original.timestamps["l2_fill"] = now
                 self._pending_responses.append(original)
             else:
                 self.store_completions += 1
@@ -185,10 +187,10 @@ class L2Slice(Component):
         while (
             self._pending_responses
             and now >= self._port_free_at
-            and self.response_queue.can_push()
+            and len(self._respq_items) < self.response_queue.capacity
         ):
             response = self._pending_responses.pop(0)
-            response.stamp("l2_out", now)
+            response.timestamps["l2_out"] = now
             self.response_queue.push(response, now)
             self._port_free_at = now + self._port_cycles
             self.port_busy_cycles += self._port_cycles
@@ -215,9 +217,10 @@ class L2Slice(Component):
         for bank in self.banks:
             request = bank.output
             if request is None:
-                if not bank.pipe.ready(now):
+                fifo = bank.pipe._fifo
+                if not fifo or fifo[0][0] > now:
                     continue
-                request = bank.output = bank.pipe.pop()
+                request = bank.output = fifo.popleft()[1]
             elif now < bank.retry_until and bank.retry_epoch == self._slice_epoch():
                 # Retry on change: nothing the blocked output waits on has
                 # moved, so the retry would fail again.  Replay its
@@ -254,7 +257,7 @@ class L2Slice(Component):
         hit = self.tags.lookup(local, now, count=False)
         if "l2_probed" not in request.timestamps:
             # Count the access outcome once, not once per blocked retry.
-            request.stamp("l2_probed", now)
+            request.timestamps["l2_probed"] = now
             if hit:
                 self.tags.lookups.hit()
             else:
@@ -264,15 +267,18 @@ class L2Slice(Component):
                 self.tags.mark_dirty(local)
                 self.store_hits += 1
                 self.store_completions += 1
-                request.stamp("l2_hit", now)
+                request.timestamps["l2_hit"] = now
                 request.retired = True  # write-through store ends at L2
                 return None
             # Load hit: needs the data port and a response-queue slot.
-            if now < self._port_free_at or not self.response_queue.can_push():
+            if (
+                now < self._port_free_at
+                or len(self._respq_items) >= self.response_queue.capacity
+            ):
                 return _BLOCKED_HIT
             request.is_response = True
-            request.stamp("l2_hit", now)
-            request.stamp("l2_out", now)
+            request.timestamps["l2_hit"] = now
+            request.timestamps["l2_out"] = now
             self.response_queue.push(request, now)
             self._port_free_at = now + self._port_cycles
             self.port_busy_cycles += self._port_cycles
@@ -282,20 +288,23 @@ class L2Slice(Component):
         if probe is MSHRProbe.MERGEABLE:
             self.mshr.merge(request, now)
             request.l2_miss = True
-            request.stamp("l2_miss", now)
+            request.timestamps["l2_miss"] = now
             return None
-        if probe is MSHRProbe.ENTRY_FULL or self.mshr.full:
+        if (
+            probe is MSHRProbe.ENTRY_FULL
+            or len(self._mshr_entries) >= self.mshr.capacity
+        ):
             return _BLOCKED_MISS
         # Reserving may evict a dirty line needing a writeback slot, so
         # demand two free miss-queue slots before committing.
-        if self.miss_queue.capacity - len(self.miss_queue) < 2:
+        if self.miss_queue.capacity - len(self.miss_queue._items) < 2:
             return _BLOCKED_MISS
         evicted = self.tags.reserve(local, now)
         if evicted is False:
             return _BLOCKED_RESERVE  # every way pending a fill
         self.mshr.allocate(request, now)
         request.l2_miss = True
-        request.stamp("l2_miss", now)
+        request.timestamps["l2_miss"] = now
         if evicted is not None and evicted.dirty:
             self._emit_writeback(evicted.line, request, now)
         self.miss_queue.push(request, now)
@@ -314,19 +323,19 @@ class L2Slice(Component):
             warp_id=-1,
             issued_at=now,
         )
-        writeback.stamp("l2_writeback", now)
+        writeback.timestamps["l2_writeback"] = now
         self.writebacks += 1
         self.miss_queue.push(writeback, now)
 
     def _step_bank_inputs(self, now: int) -> None:
         accepted = 0
-        while accepted < len(self.banks) and not self.access_queue.empty:
-            head = self.access_queue.peek()
-            bank = self.banks[self._mapper.l2_bank(head.line)]
-            if not bank.can_accept():
+        items = self._access_items
+        while accepted < len(self.banks) and items:
+            bank = self.banks[self._mapper.l2_bank(items[0].line)]
+            if bank.accepted_this_cycle or len(bank.pipe._fifo) >= bank.depth:
                 break  # head-of-line blocking on a busy bank
             request = self.access_queue.pop(now)
-            request.stamp("l2_in", now)
+            request.timestamps["l2_in"] = now
             bank.pipe.insert(request, now)
             bank.accepted_this_cycle = True
             accepted += 1

@@ -71,10 +71,6 @@ class MSHRTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
     def probe(self, line: int) -> MSHRProbe:
         entry = self._entries.get(line)
         if entry is None:

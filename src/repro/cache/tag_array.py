@@ -28,13 +28,6 @@ class LineState(enum.Enum):
     RESERVED = 2
 
 
-@dataclass(slots=True)
-class _Way:
-    tag: int = -1
-    state: LineState = LineState.INVALID
-    dirty: bool = False
-
-
 @dataclass(frozen=True, slots=True)
 class Eviction:
     """Description of a line displaced by a reserve/fill."""
@@ -44,7 +37,13 @@ class Eviction:
 
 
 class TagArray:
-    """Tags + state for one cache; indexed by line index."""
+    """Tags + state for one cache; indexed by line index.
+
+    Way state is held flat: ``_tag``, ``_state`` and ``_dirty`` are lists
+    indexed ``set * assoc + way``, and ``_way_of`` maps every non-INVALID
+    line to its way, so the per-access probe is one dict lookup and
+    building a cache allocates no per-way objects.
+    """
 
     def __init__(
         self,
@@ -60,11 +59,14 @@ class TagArray:
         self.name = name
         self.n_sets = n_sets
         self.assoc = assoc
-        self._sets = [[_Way() for _ in range(assoc)] for _ in range(n_sets)]
-        #: Per-set ``line -> way index`` for the non-INVALID ways, so the
-        #: per-access probe is a dict lookup instead of a way scan.
-        #: Maintained by reserve/fill/invalidate (the only tag mutators).
-        self._tag_map: list[dict[int, int]] = [{} for _ in range(n_sets)]
+        n_ways = n_sets * assoc
+        self._tag = [-1] * n_ways
+        self._state = [LineState.INVALID] * n_ways
+        self._dirty = [False] * n_ways
+        #: ``line -> way`` for the non-INVALID lines (the set is implied
+        #: by the line).  Maintained by reserve/fill/invalidate (the only
+        #: tag mutators).
+        self._way_of: dict[int, int] = {}
         self._policy = make_policy(policy, n_sets, assoc)
         #: Per-set recency/insertion stamp rows when the policy ranks ways
         #: by a plain stamp (LRU/FIFO): lets :meth:`_allocate` pick the
@@ -83,10 +85,6 @@ class TagArray:
     def set_index(self, line: int) -> int:
         return line & (self.n_sets - 1)
 
-    def _find(self, line: int) -> tuple[int, int | None]:
-        set_idx = line & (self.n_sets - 1)
-        return set_idx, self._tag_map[set_idx].get(line)
-
     # ------------------------------------------------------------------
     # operations
     # ------------------------------------------------------------------
@@ -97,9 +95,10 @@ class TagArray:
         caller can detect it via :meth:`state_of` to merge into an MSHR.
         Updates replacement state and the hit-rate statistic on hits.
         """
-        set_idx, way_idx = self._find(line)
-        hit = way_idx is not None and (
-            self._sets[set_idx][way_idx].state is LineState.VALID
+        way = self._way_of.get(line)
+        set_idx = line & (self.n_sets - 1)
+        hit = way is not None and (
+            self._state[set_idx * self.assoc + way] is LineState.VALID
         )
         if count:
             if hit:
@@ -107,28 +106,32 @@ class TagArray:
             else:
                 self.lookups.miss()
         if hit:
-            self._policy.on_access(set_idx, way_idx, now)
+            self._policy.on_access(set_idx, way, now)
         return hit
 
     def state_of(self, line: int) -> LineState:
         """Current state of ``line`` (INVALID if not present)."""
-        set_idx, way_idx = self._find(line)
-        if way_idx is None:
+        way = self._way_of.get(line)
+        if way is None:
             return LineState.INVALID
-        return self._sets[set_idx][way_idx].state
+        return self._state[(line & (self.n_sets - 1)) * self.assoc + way]
 
     def mark_dirty(self, line: int) -> None:
         """Mark a VALID line dirty (write hit)."""
-        set_idx, way_idx = self._find(line)
-        if way_idx is None or self._sets[set_idx][way_idx].state is not LineState.VALID:
-            raise SimulationError(f"{self.name}: mark_dirty on absent line {line:#x}")
-        self._sets[set_idx][way_idx].dirty = True
+        way = self._way_of.get(line)
+        if way is not None:
+            index = (line & (self.n_sets - 1)) * self.assoc + way
+            if self._state[index] is LineState.VALID:
+                self._dirty[index] = True
+                return
+        raise SimulationError(f"{self.name}: mark_dirty on absent line {line:#x}")
 
     def _allocate(self, set_idx: int, line: int) -> tuple[int, Eviction | None] | None:
         """Claim a way for ``line`` in RESERVED state; None when every way
         is reserved.  Single pass: stops at the first INVALID way, else
         picks the policy victim among the VALID ways gathered en route."""
-        ways = self._sets[set_idx]
+        base = set_idx * self.assoc
+        states = self._state
         victim_idx = None
         evicted = None
         stamp_rows = self._stamp_rows
@@ -138,8 +141,8 @@ class TagArray:
             stamps = stamp_rows[set_idx]
             best_idx = None
             best_stamp = 0
-            for way_idx, way in enumerate(ways):
-                state = way.state
+            for way_idx in range(self.assoc):
+                state = states[base + way_idx]
                 if state is LineState.INVALID:
                     victim_idx = way_idx
                     break
@@ -152,30 +155,28 @@ class TagArray:
                 if best_idx is None:
                     return None
                 victim_idx = best_idx
-                victim = ways[victim_idx]
-                evicted = Eviction(line=victim.tag, dirty=victim.dirty)
-                del self._tag_map[set_idx][victim.tag]
         else:
             candidates: list[int] = []
-            for way_idx, way in enumerate(ways):
-                state = way.state
+            for way_idx in range(self.assoc):
+                state = states[base + way_idx]
                 if state is LineState.INVALID:
                     victim_idx = way_idx
                     break
                 if state is LineState.VALID:
                     candidates.append(way_idx)
-            if victim_idx is None:
+            else:
                 if not candidates:
                     return None
                 victim_idx = self._policy.victim(set_idx, candidates)
-                victim = ways[victim_idx]
-                evicted = Eviction(line=victim.tag, dirty=victim.dirty)
-                del self._tag_map[set_idx][victim.tag]
-        way = ways[victim_idx]
-        way.tag = line
-        way.state = LineState.RESERVED
-        way.dirty = False
-        self._tag_map[set_idx][line] = victim_idx
+        index = base + victim_idx
+        if states[index] is LineState.VALID:
+            victim_line = self._tag[index]
+            evicted = Eviction(line=victim_line, dirty=self._dirty[index])
+            del self._way_of[victim_line]
+        self._tag[index] = line
+        states[index] = LineState.RESERVED
+        self._dirty[index] = False
+        self._way_of[line] = victim_idx
         return victim_idx, evicted
 
     def reserve(self, line: int, now: int) -> Eviction | None | bool:
@@ -200,7 +201,7 @@ class TagArray:
         Returns any displaced line.
         """
         set_idx = line & (self.n_sets - 1)
-        way_idx = self._tag_map[set_idx].get(line)
+        way_idx = self._way_of.get(line)
         evicted: Eviction | None = None
         if way_idx is None:
             result = self._allocate(set_idx, line)
@@ -209,24 +210,24 @@ class TagArray:
                     f"{self.name}: fill of {line:#x} found no allocatable way"
                 )
             way_idx, evicted = result
-        way = self._sets[set_idx][way_idx]
-        way.state = LineState.VALID
-        way.dirty = dirty
+        index = set_idx * self.assoc + way_idx
+        self._state[index] = LineState.VALID
+        self._dirty[index] = dirty
         self._policy.on_fill(set_idx, way_idx, now)
         return evicted
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present and VALID; True when something dropped."""
-        set_idx, way_idx = self._find(line)
-        if way_idx is None:
+        way = self._way_of.get(line)
+        if way is None:
             return False
-        way = self._sets[set_idx][way_idx]
-        if way.state is not LineState.VALID:
+        index = (line & (self.n_sets - 1)) * self.assoc + way
+        if self._state[index] is not LineState.VALID:
             return False
-        del self._tag_map[set_idx][line]
-        way.state = LineState.INVALID
-        way.tag = -1
-        way.dirty = False
+        del self._way_of[line]
+        self._state[index] = LineState.INVALID
+        self._tag[index] = -1
+        self._dirty[index] = False
         return True
 
     # ------------------------------------------------------------------
@@ -238,18 +239,8 @@ class TagArray:
 
     def occupancy(self) -> int:
         """Number of VALID lines currently held."""
-        return sum(
-            1
-            for ways in self._sets
-            for way in ways
-            if way.state is LineState.VALID
-        )
+        return self._state.count(LineState.VALID)
 
     def reserved_count(self) -> int:
         """Number of RESERVED ways (outstanding fills)."""
-        return sum(
-            1
-            for ways in self._sets
-            for way in ways
-            if way.state is LineState.RESERVED
-        )
+        return self._state.count(LineState.RESERVED)

@@ -7,7 +7,8 @@ or post-processed outside the library.
 (Historically ``repro.utils.export``; moved here because the exporters
 are views over ``repro.core`` result types — the static verifier's
 layering pass (REP012) rejects ``utils`` importing upward into ``core``.
-The old module lazily forwards for compatibility.)
+Only :func:`~repro.utils.export.write_text` stays in the old module;
+import the exporters from here.)
 """
 
 from __future__ import annotations

@@ -63,11 +63,11 @@ class SM(Component):
         self._ldst_capacity = config.core.ldst_queue_depth
         self._issue_width = config.core.issue_width
         self._mem_width = config.core.mem_pipeline_width
-        # Heap aliases for the completion-readiness test on the per-cycle
-        # path (heapq mutates the lists in place, so the aliases stay
-        # valid); see step().
-        self._hit_heap = self.l1._hit_pipe._heap
-        self._fill_heap = self.l1._fill_pipe._heap
+        # Pipe FIFO aliases for the completion-readiness test on the
+        # per-cycle path (the pipes mutate their deques in place, so the
+        # aliases stay valid); see step().
+        self._hit_fifo = self.l1._hit_pipe._fifo
+        self._fill_fifo = self.l1._fill_pipe._fifo
         #: Alias of the L1's pending-writeback list (mutated in place), one
         #: attribute hop instead of two on the per-cycle wake checks.
         self._l1_writebacks = self.l1._pending_writebacks
@@ -124,7 +124,7 @@ class SM(Component):
         #: burst horizon (a front warp must fetch next cycle), letting
         #: next_wake veto without rescanning the ready queue.
         self._fetch_due = False
-        #: Fill-heap length when the current window opened; a mismatch
+        #: Fill-pipe length when the current window opened; a mismatch
         #: during a skipped cycle means an external fill arrived.
         self._fill_len = 0
         #: L1 miss-queue pops when a stalled-head window opened; a
@@ -140,8 +140,8 @@ class SM(Component):
     # component protocol
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
-        fill_heap = self._fill_heap
-        hit_heap = self._hit_heap
+        fill_fifo = self._fill_fifo
+        hit_fifo = self._hit_fifo
         if now < self._skip_until and (
             not self._ldst_queue or self._l1_missq.pops == self._window_pops
         ):
@@ -150,17 +150,17 @@ class SM(Component):
             # replay.  Writebacks and the hit pipe only change in our own
             # steps and the window was clamped to their due times when it
             # opened, so two external sources remain: a fill arriving from
-            # the response network (a fill-heap length change), and, for a
+            # the response network (a fill-pipe length change), and, for a
             # stalled LD/ST head, the request network freeing a miss-queue
             # slot (a miss-queue pop, checked above; it forces a real step
             # that retries the head).
-            if len(fill_heap) == self._fill_len:
+            if len(fill_fifo) == self._fill_len:
                 self._skipped += 1
                 return
             # New fill(s) landed mid-window: shrink the window to their
             # earliest ready time; only a fill due now forces a real step.
-            self._fill_len = len(fill_heap)
-            head = fill_heap[0][0]
+            self._fill_len = len(fill_fifo)
+            head = fill_fifo[0][0]
             if head > now:
                 if head < self._skip_until:
                     self._skip_until = head
@@ -180,8 +180,8 @@ class SM(Component):
             return
         if (
             self._l1_writebacks
-            or (fill_heap and fill_heap[0][0] <= now)
-            or (hit_heap and hit_heap[0][0] <= now)
+            or (fill_fifo and fill_fifo[0][0] <= now)
+            or (hit_fifo and hit_fifo[0][0] <= now)
         ):
             self._process_completions(now)
         if self._ldst_queue:
@@ -201,7 +201,7 @@ class SM(Component):
             # L1 resource epoch while issue cannot proceed (replayed as
             # stall cycles plus no-ready or starved cycles).  The window
             # is clamped to the earliest event already sitting in the
-            # completion heaps, so the skip-cycle guard only has to watch
+            # completion pipes, so the skip-cycle guard only has to watch
             # for *new* fills.
             until = 0
             if self._ldst_queue:
@@ -222,13 +222,13 @@ class SM(Component):
             elif not self.done:
                 until = WAKE_NEVER
             if until:
-                if fill_heap:
-                    head = fill_heap[0][0]
+                if fill_fifo:
+                    head = fill_fifo[0][0]
                     if head < until:
                         until = head
-                if hit_heap and hit_heap[0][0] < until:
-                    until = hit_heap[0][0]
-                self._fill_len = len(fill_heap)
+                if hit_fifo and hit_fifo[0][0] < until:
+                    until = hit_fifo[0][0]
+                self._fill_len = len(fill_fifo)
                 self._skip_until = until
 
     def set_fast_mode(self, enabled: bool) -> None:
@@ -271,10 +271,10 @@ class SM(Component):
         if self._l1_writebacks:
             return now
         wake = burst_wake
-        if self._fill_heap and self._fill_heap[0][0] < wake:
-            wake = self._fill_heap[0][0]
-        if self._hit_heap and self._hit_heap[0][0] < wake:
-            wake = self._hit_heap[0][0]
+        if self._fill_fifo and self._fill_fifo[0][0] < wake:
+            wake = self._fill_fifo[0][0]
+        if self._hit_fifo and self._hit_fifo[0][0] < wake:
+            wake = self._hit_fifo[0][0]
         return wake if wake > now else now
 
     def fast_forward(self, cycles: int) -> None:

@@ -86,7 +86,7 @@ class DRAMChannel(Component):
         # Fast path: controller completely idle and nothing to admit.
         if (
             not self.sched_queue._items
-            and not self._completions._heap
+            and not self._completions._fifo
             and (self.l2 is None or not self.l2.miss_queue._items)
         ):
             return
@@ -108,9 +108,9 @@ class DRAMChannel(Component):
         if self.l2 is not None and self.l2.miss_queue._items:
             return now
         wake = WAKE_NEVER
-        heap = self._completions._heap
-        if heap:
-            ready = heap[0][0]
+        completions = self._completions._fifo
+        if completions:
+            ready = completions[0][0]
             if ready <= now:
                 return now  # a completion retires (or head-of-line blocks)
             wake = ready
@@ -141,20 +141,22 @@ class DRAMChannel(Component):
             self._next_refresh += cfg.refresh_interval
 
     def _retire(self, now: int) -> None:
-        while self._completions.ready(now):
-            request = self._completions.peek()
+        completions = self._completions._fifo
+        return_items = self.return_queue._items
+        while completions and completions[0][0] <= now:
+            request = completions[0][1]
             if request.kind is AccessKind.WRITEBACK:
-                self._completions.pop()
-                request.stamp("dram_done", now)
+                completions.popleft()
+                request.timestamps["dram_done"] = now
                 request.retired = True  # writebacks terminate at DRAM
                 self.writes += 1
             else:
                 # LOADs and write-allocate STORE fetches both return data to
                 # the L2 so their MSHR entries release.
-                if not self.return_queue.can_push():
+                if len(return_items) >= self.return_queue.capacity:
                     break  # L2 fill path congested; hold completions
-                self._completions.pop()
-                request.stamp("dram_done", now)
+                completions.popleft()
+                request.timestamps["dram_done"] = now
                 self._reads_in_flight -= 1
                 self.return_queue.push(request, now)
 
@@ -165,9 +167,12 @@ class DRAMChannel(Component):
         if self.l2 is None:
             return
         miss_queue = self.l2.miss_queue
-        if not miss_queue.empty and self.sched_queue.can_push():
+        if (
+            miss_queue._items
+            and len(self.sched_queue._items) < self.sched_queue.capacity
+        ):
             request = miss_queue.pop(now)
-            request.stamp("dram_in", now)
+            request.timestamps["dram_in"] = now
             # Cache the bank/row coordinates once; the scheduler's
             # first-ready scan consults them every cycle the request waits.
             request.dram_bank = self._mapper.dram_bank(request.line)
@@ -188,7 +193,7 @@ class DRAMChannel(Component):
         return sched.pushes + sched.pops + ret.pushes + ret.pops + self.refreshes
 
     def _issue(self, now: int) -> None:
-        if self.sched_queue.empty:
+        if not self.sched_queue._items:
             return
         if now < self._select_until and self._select_epoch == self._channel_epoch():
             # The last selection found nothing to issue, and neither its
@@ -201,27 +206,23 @@ class DRAMChannel(Component):
         if bank_file.min_busy() > now:
             return
         timing = self._config.dram
-        headroom = self.return_queue.capacity - len(self.return_queue)
         # The bus may be booked up to ``bus_window_transfers`` transfers
         # beyond the earliest possible data arrival (now + tCAS); measuring
         # from ``now`` alone would lock the channel whenever tCAS exceeds
         # the window.
         bus_window = timing.bus_window_transfers * self._transfer_cycles
         bus_gate_ok = self._bus_free_at - (now + timing.t_cas) <= bus_window
-
-        def cas_ok(request: MemoryRequest) -> bool:
-            if not bus_gate_ok:
-                return False
-            if request.kind is AccessKind.WRITEBACK:
-                return True
-            return self._reads_in_flight < headroom
-
+        # Reads also need headroom in the return queue for every read in
+        # flight; writebacks return nothing.
+        reads_ok = self._reads_in_flight < (
+            self.return_queue.capacity - len(self.return_queue._items))
         choice = self._scheduler.select(
             self.sched_queue,
             bank_file.busy_until,
             bank_file.open_row,
             now,
-            cas_ok,
+            bus_gate_ok,
+            reads_ok,
         )
         if choice is None:
             if self._fast_mode:

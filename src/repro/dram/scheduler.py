@@ -23,11 +23,9 @@ address-mapper calls on the hot path.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.errors import ConfigError
 from repro.mem.queue import StatQueue
-from repro.mem.request import MemoryRequest
+from repro.mem.request import AccessKind, MemoryRequest
 
 #: Command kinds returned by a scheduler.
 CAS = "cas"
@@ -45,17 +43,18 @@ class DRAMScheduler:
         busy_until: list[int],
         open_row: list[int],
         now: int,
-        cas_ok: Callable[[MemoryRequest], bool],
+        bus_ok: bool,
+        reads_ok: bool,
     ) -> tuple[str, MemoryRequest] | None:
         """Pick ``(command, request)`` or None if nothing can issue.
 
         ``busy_until`` and ``open_row`` are the channel's flat per-bank
         lists; queued requests carry cached ``dram_bank`` / ``dram_row``
         coordinates.  A CAS candidate needs its bank ready
-        (``now >= busy_until[bank]``) with the right row open and must
-        pass ``cas_ok`` (bus slot within reach, return-path headroom).
-        An activate candidate needs its bank ready with a different (or
-        no) row open.
+        (``now >= busy_until[bank]``) with the right row open, and passes
+        the CAS gates: ``bus_ok`` (a bus slot within reach) and, unless it
+        is a writeback, ``reads_ok`` (return-path headroom).  An activate
+        candidate needs its bank ready with a different (or no) row open.
         """
         raise NotImplementedError
 
@@ -65,13 +64,13 @@ class FCFSScheduler(DRAMScheduler):
 
     name = "fcfs"
 
-    def select(self, queue, busy_until, open_row, now, cas_ok):
+    def select(self, queue, busy_until, open_row, now, bus_ok, reads_ok):
         for request in queue._items:
             bank = request.dram_bank
             if now < busy_until[bank]:
                 continue
             if open_row[bank] == request.dram_row:
-                if cas_ok(request):
+                if bus_ok and (reads_ok or request.kind is AccessKind.WRITEBACK):
                     return (CAS, request)
                 return None  # strict order: wait for the head's bus slot
             return (ACTIVATE, request)
@@ -83,7 +82,7 @@ class FRFCFSScheduler(DRAMScheduler):
 
     name = "frfcfs"
 
-    def select(self, queue, busy_until, open_row, now, cas_ok):
+    def select(self, queue, busy_until, open_row, now, bus_ok, reads_ok):
         # One age-ordered pass classifies every request: the oldest
         # serviceable row hit returns immediately, while banks with
         # *pending* hits on their open row are flagged — those rows must
@@ -99,7 +98,11 @@ class FRFCFSScheduler(DRAMScheduler):
             bank = request.dram_bank
             if open_row[bank] == request.dram_row:
                 pending_hits |= 1 << bank
-                if now >= busy_until[bank] and cas_ok(request):
+                if (
+                    bus_ok
+                    and now >= busy_until[bank]
+                    and (reads_ok or request.kind is AccessKind.WRITEBACK)
+                ):
                     return (CAS, request)
             else:
                 bit = 1 << bank

@@ -78,6 +78,8 @@ class GPU:
 
         for sm in self.sms:
             self.sim.add(sm)
+        #: SMs not yet known to be done; see :meth:`done`.
+        self._running = list(self.sms)
 
         if not config.magic_memory:
             self._build_memory_system(config)
@@ -110,13 +112,14 @@ class GPU:
             [sm.l1.miss_queue for sm in self.sms],
             [
                 PacketSink(
-                    can_accept=(lambda l2: lambda _req: l2.access_queue.can_push())(l2),
+                    can_accept=(lambda q: lambda _req: len(q._items) < q.capacity)(
+                        l2.access_queue),
                     accept=(lambda l2: lambda req, now: l2.access_queue.push(req, now))(l2),
                 )
                 for l2 in self.l2_slices
             ],
             lambda req: mapper.partition(req.line),
-            lambda req: config.request_flits(req.is_write),
+            config.request_flits,
             "icnt_req",
         )
         self.response_xbar = resp = make_network(
@@ -130,7 +133,7 @@ class GPU:
                 for sm in self.sms
             ],
             lambda req: req.sm_id,
-            lambda _req: config.response_flits(True),
+            lambda _is_write: config.response_flits(True),
             "icnt_resp",
         )
 
@@ -158,8 +161,16 @@ class GPU:
 
     # ------------------------------------------------------------------
     def done(self) -> bool:
-        """All warps on all SMs retired."""
-        return all(sm.done for sm in self.sms)
+        """All warps on all SMs retired.
+
+        Polled every cycle: ``SM.done`` never reverts, so done SMs are
+        dropped off the end of ``_running`` and each call usually checks
+        a single SM.
+        """
+        running = self._running
+        while running and running[-1].done:
+            running.pop()
+        return not running
 
     def run(self, max_cycles: int = DEFAULT_MAX_CYCLES) -> int:
         """Run to completion; returns the cycle at which all warps retired."""

@@ -24,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.mem.queue import StatQueue
-from repro.mem.request import MemoryRequest
+from repro.mem.request import AccessKind, MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
 from repro.sim.config import GPUConfig
 
@@ -50,9 +50,16 @@ class _InputPort:
         self.capacity = capacity_pkts
         self.locked_to: int | None = None
 
-    @property
-    def has_room(self) -> bool:
-        return len(self.fifo) < self.capacity
+
+def port_cycles(
+    flit_count: Callable[[bool], int], lanes: int
+) -> tuple[int, int]:
+    """Port occupancy in cycles, ``ceil(flits / lanes)``, of a read and a
+    write packet; index the pair with ``request.kind is not LOAD``."""
+    read, write = (
+        max(1, -(-flit_count(is_write) // lanes)) for is_write in (False, True)
+    )
+    return read, write
 
 
 class Crossbar(Component):
@@ -65,19 +72,17 @@ class Crossbar(Component):
         sources: list[StatQueue[MemoryRequest]],
         sinks: list[PacketSink],
         route: Callable[[MemoryRequest], int],
-        flit_count: Callable[[MemoryRequest], int],
+        flit_count: Callable[[bool], int],
         stamp_hop: str = "icnt",
     ) -> None:
-        lanes = config.icnt.channel_lanes
         self.name = name
         self._sources = sources
         self._sinks = sinks
         self._route = route
-        self._flit_count = flit_count
-        #: Packet port-occupancy in cycles: ceil(flits / lanes).
-        self._cycles_of = lambda req: max(1, -(-flit_count(req) // lanes))
-        self._lanes = lanes
-        self._stamp_hop = stamp_hop
+        #: Packet port occupancy by ``is_write``, resolved once.
+        self._port_cycles = port_cycles(flit_count, config.icnt.channel_lanes)
+        self._in_hop = f"{stamp_hop}_in"
+        self._out_hop = f"{stamp_hop}_out"
         self._inputs = [
             _InputPort(config.icnt.input_queue_pkts) for _ in sources
         ]
@@ -144,24 +149,27 @@ class Crossbar(Component):
 
     def _inject(self, now: int) -> None:
         """Move packets from source queues into input-port FIFOs."""
+        port_cycles = self._port_cycles
+        in_hop = self._in_hop
         for idx, src, items, port in self._pairs:
             if not items:
                 continue
             popped = False
-            while port.has_room and not src.empty:
+            fifo = port.fifo
+            while items and len(fifo) < port.capacity:
                 request = src.pop(now)
                 popped = True
-                request.stamp(f"{self._stamp_hop}_in", now)
+                request.timestamps[in_hop] = now
                 dest = self._route(request)
-                if not port.fifo:
+                if not fifo:
                     self._active_inputs += 1
                     if port.locked_to is None:
                         self._head_dests[dest] += 1
-                port.fifo.append(
+                fifo.append(
                     _Packet(
                         request=request,
                         dest=dest,
-                        flits_left=self._cycles_of(request),
+                        flits_left=port_cycles[request.kind is not AccessKind.LOAD],
                     )
                 )
             if popped:
@@ -191,7 +199,7 @@ class Crossbar(Component):
                 continue
             self.flits_sent += 1
             self.packets_delivered += 1
-            packet.request.stamp(f"{self._stamp_hop}_out", now)
+            packet.request.timestamps[self._out_hop] = now
             sink.accept(packet.request, now)
             self._delivered_sinks.append(out_idx)
             port.fifo.popleft()

@@ -28,10 +28,10 @@ from collections.abc import Callable
 from repro.errors import ConfigError
 from repro.mem.pipe import DelayPipe
 from repro.mem.queue import StatQueue
-from repro.mem.request import MemoryRequest
+from repro.mem.request import AccessKind, MemoryRequest
 from repro.sim.component import WAKE_NEVER, Component
 from repro.sim.config import GPUConfig
-from repro.icnt.crossbar import PacketSink
+from repro.icnt.crossbar import PacketSink, port_cycles
 
 
 class _Link:
@@ -55,7 +55,7 @@ class RingNetwork(Component):
         sources: list[StatQueue[MemoryRequest]],
         sinks: list[PacketSink],
         route: Callable[[MemoryRequest], int],
-        flit_count: Callable[[MemoryRequest], int],
+        flit_count: Callable[[bool], int],
         stamp_hop: str = "icnt",
         hop_latency: int = 2,
     ) -> None:
@@ -65,10 +65,11 @@ class RingNetwork(Component):
         self._sources = sources
         self._sinks = sinks
         self._route = route
-        self._stamp_hop = stamp_hop
+        self._in_hop = f"{stamp_hop}_in"
+        self._out_hop = f"{stamp_hop}_out"
         self._hop_latency = hop_latency
-        lanes = config.icnt.channel_lanes
-        self._cycles_of = lambda req: max(1, -(-flit_count(req) // lanes))
+        #: Packet serialization per link by ``is_write``, resolved once.
+        self._port_cycles = port_cycles(flit_count, config.icnt.channel_lanes)
 
         # Interleave source and sink stations around the ring.
         self._n_stations = len(sources) + len(sinks)
@@ -152,13 +153,13 @@ class RingNetwork(Component):
 
     def _inject(self, now: int) -> None:
         for idx, source in enumerate(self._sources):
-            if source.empty:
+            if not source._items:
                 continue
-            request = source.peek()
+            request = source._items[0]
             out_idx = self._route(request)
             links, hops = self._path(
                 self._source_pos[idx], self._sink_pos[out_idx])
-            serialize = self._cycles_of(request)
+            serialize = self._port_cycles[request.kind is not AccessKind.LOAD]
             # Back-pressure: refuse injection while the first link is booked
             # too far ahead or the destination's arrival buffer is full.
             if links and links[0].free_at - now > 4 * serialize:
@@ -167,7 +168,7 @@ class RingNetwork(Component):
                 continue
             source.pop(now)
             self._injected_sources.append(idx)
-            request.stamp(f"{self._stamp_hop}_in", now)
+            request.timestamps[self._in_hop] = now
             arrive = now
             for link in links:
                 start = max(arrive, link.free_at)
@@ -187,7 +188,7 @@ class RingNetwork(Component):
             accepted = False
             while buffer and sink.can_accept(buffer[0]):
                 request = buffer.popleft()
-                request.stamp(f"{self._stamp_hop}_out", now)
+                request.timestamps[self._out_hop] = now
                 sink.accept(request, now)
                 self.packets_delivered += 1
                 accepted = True

@@ -47,7 +47,8 @@ class MemoryRequest:
     #: Core cycle at which the SM handed the transaction to the L1.
     issued_at: int = 0
     #: Per-hop timestamps, keyed by hop name ("l1_miss", "l2_in", "l2_hit",
-    #: "dram_in", "dram_done", "l2_out", "l1_fill", ...).
+    #: "dram_in", "dram_done", "l2_out", "l1_fill", ...).  Each hop writes
+    #: ``timestamps[hop] = now`` itself: no helper call on the request path.
     timestamps: dict[str, int] = field(default_factory=dict)
     #: True once the request is travelling back towards its SM.
     is_response: bool = False
@@ -67,10 +68,6 @@ class MemoryRequest:
     @property
     def is_write(self) -> bool:
         return self.kind.is_write
-
-    def stamp(self, hop: str, now: int) -> None:
-        """Record that the request reached ``hop`` at cycle ``now``."""
-        self.timestamps[hop] = now
 
     def hops(self) -> list[tuple[str, int]]:
         """Recorded ``(hop, cycle)`` pairs in chronological order.

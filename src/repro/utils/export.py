@@ -1,29 +1,14 @@
-"""Plain-text file output, plus a compatibility shim for the exporters.
+"""Plain-text file output.
 
-:func:`write_text` is the only genuine utility here.  The metric and
-experiment exporters (``metrics_to_csv`` & co.) live in
-:mod:`repro.core.export` — they are views over ``repro.core`` result
-types, and a module-level import of them from ``utils`` would point
-upward through the architecture tower (REP012).  They remain importable
-from this module through a lazy ``__getattr__`` forward, which creates
-no import-time edge.
+The metric and experiment exporters (``metrics_to_csv`` & co.) live in
+:mod:`repro.core.export`: they are views over ``repro.core`` result
+types, and importing them here would point upward through the
+architecture tower (REP012).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
-
-#: Names forwarded to :mod:`repro.core.export` on first attribute access.
-_FORWARDED = frozenset((
-    "exploration_to_dict",
-    "exploration_to_json",
-    "metrics_to_csv",
-    "metrics_to_dict",
-    "metrics_to_json",
-    "metrics_to_nested_dict",
-    "profile_to_csv",
-))
 
 
 def write_text(path: str | Path, text: str) -> Path:
@@ -32,15 +17,3 @@ def write_text(path: str | Path, text: str) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     return path
-
-
-def __getattr__(name: str) -> Any:
-    if name in _FORWARDED:
-        import repro.core.export as _export
-
-        return getattr(_export, name)
-    # The module __getattr__ protocol requires AttributeError specifically;
-    # anything else breaks hasattr() and dir() on this module.
-    raise AttributeError(  # noqa: REP003
-        f"module {__name__!r} has no attribute {name!r}"
-    )

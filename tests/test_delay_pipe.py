@@ -56,20 +56,31 @@ class TestDelayPipe:
 
 
 @given(
-    st.lists(st.tuples(st.integers(0, 50), st.integers(0, 30)), max_size=60)
+    st.lists(
+        st.tuples(st.booleans(), st.integers(0, 50), st.integers(0, 30)),
+        max_size=60,
+    )
 )
 def test_items_emerge_in_ready_order(inserts):
-    """drain over time yields items sorted by their ready cycle."""
+    """Drained over time, items emerge in ``(ready, insertion)`` order — a
+    stable sort by ready cycle — whether they entered by ``insert`` or by
+    an out-of-order ``insert_at`` (the ring's arrivals rely on the ties)."""
     pipe = DelayPipe("p", 3)
     expected = []
-    for i, (now, extra) in enumerate(inserts):
-        pipe.insert((i, now + 3 + extra), now=now, extra_delay=extra)
-        expected.append(now + 3 + extra)
+    for i, (absolute, now, extra) in enumerate(inserts):
+        if absolute:
+            ready = now + extra
+            pipe.insert_at(i, ready)
+        else:
+            ready = now + 3 + extra
+            pipe.insert(i, now=now, extra_delay=extra)
+        expected.append((ready, i))
     out = []
-    horizon = max(expected, default=0) + 1
+    horizon = max(expected, default=(0, 0))[0] + 1
     for cycle in range(horizon + 1):
-        for item, ready in pipe.drain_ready(cycle):
+        for i in pipe.drain_ready(cycle):
+            ready = expected[i][0]
             assert ready <= cycle
-            out.append(ready)
+            out.append((ready, i))
     assert len(out) == len(inserts)
-    assert out == sorted(out)
+    assert out == sorted(expected)

@@ -163,7 +163,7 @@ class TestSchedulers:
         queue = self._queue_with(mapper, [old, young])
         # "old" also maps to the same row here, so pick oldest hit = old.
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: True
+            queue, banks.busy_until, banks.open_row, 0, True, True
         )
         assert choice == (CAS, old)
 
@@ -175,7 +175,7 @@ class TestSchedulers:
         a = read(0, 0)
         queue = self._queue_with(mapper, [a])
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: True
+            queue, banks.busy_until, banks.open_row, 0, True, True
         )
         assert choice == (ACTIVATE, a)
 
@@ -193,9 +193,9 @@ class TestSchedulers:
         conflict = read(1, conflict_local * cfg.n_partitions)
         assert mapper.dram_bank(conflict.line) == bank_idx
         queue = self._queue_with(mapper, [conflict, hit])
-        # The hit is bus-gated (cas_ok False); activate must NOT fire on its bank.
+        # The hit is bus-gated (bus_ok False); activate must NOT fire on its bank.
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: False
+            queue, banks.busy_until, banks.open_row, 0, False, True
         )
         assert choice is None
 
@@ -209,7 +209,7 @@ class TestSchedulers:
         queue = self._queue_with(mapper, [a, b])
         # b is a ready row hit but FCFS must handle a first (activate).
         choice = sched.select(
-            queue, banks.busy_until, banks.open_row, 0, lambda r: True
+            queue, banks.busy_until, banks.open_row, 0, True, True
         )
         # a and b share the open row in this mapping? ensure decision is for a.
         assert choice[1] is a

@@ -70,22 +70,3 @@ class TestWriteText:
         write_text(target, "x,y\n1,2\n")
         assert target.read_text().startswith("x,y")
 
-
-class TestUtilsExportShim:
-    """The historical repro.utils.export location keeps forwarding."""
-
-    def test_forwards_moved_exporters(self):
-        from repro.core import export as core_export
-        from repro.utils import export as utils_export
-
-        assert utils_export.metrics_to_dict is core_export.metrics_to_dict
-        assert utils_export.profile_to_csv is core_export.profile_to_csv
-        assert utils_export.exploration_to_json is core_export.exploration_to_json
-
-    def test_unknown_attribute_still_raises(self):
-        import pytest
-
-        from repro.utils import export as utils_export
-
-        with pytest.raises(AttributeError):
-            utils_export.no_such_exporter

@@ -251,7 +251,8 @@ class TestRetryOnChange:
         hit = _load(1, 0)
         l2.access_queue.push(hit, 401)
         touches = []
-        set_idx, way = l2.tags._find(mapper.local_line(0))
+        local = mapper.local_line(0)
+        set_idx, way = l2.tags.set_index(local), l2.tags._way_of[local]
         for cycle in range(401, 440):
             l2.step(cycle)
             touches.append(l2.tags._policy._last_use[set_idx][way])
@@ -306,9 +307,9 @@ class TestRetryOnChange:
         selects = []
         real = channel._scheduler.select
 
-        def select(queue, busy_until, open_row, now, cas_ok):
+        def select(queue, busy_until, open_row, now, bus_ok, reads_ok):
             selects.append(now)
-            return real(queue, busy_until, open_row, now, cas_ok)
+            return real(queue, busy_until, open_row, now, bus_ok, reads_ok)
 
         channel._scheduler.select = select
         return channel, selects

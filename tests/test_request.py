@@ -17,13 +17,13 @@ class TestMemoryRequest:
 
     def test_stamp_and_latency(self):
         r = self.make()
-        r.stamp("a", 100)
-        r.stamp("b", 130)
+        r.timestamps["a"] = 100
+        r.timestamps["b"] = 130
         assert r.latency("a", "b") == 30
 
     def test_latency_missing_hop_is_none(self):
         r = self.make()
-        r.stamp("a", 100)
+        r.timestamps["a"] = 100
         assert r.latency("a", "b") is None
         assert r.latency("z", "a") is None
 

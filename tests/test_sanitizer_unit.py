@@ -236,22 +236,22 @@ class TestInvariantPredicates:
 
     def test_future_timestamp(self):
         request = make_request(RequestFactory())
-        request.stamp("l1_miss", 100)
+        request.timestamps["l1_miss"] = 100
         problems = timestamp_violations(request, now=50)
         assert any("outside [0, 50]" in p for p in problems)
 
     def test_decreasing_timestamps(self):
         request = make_request(RequestFactory())
-        request.stamp("l1_miss", 40)
-        request.stamp("l2_in", 30)
+        request.timestamps["l1_miss"] = 40
+        request.timestamps["l2_in"] = 30
         problems = timestamp_violations(request, now=100)
         assert any("precedes earlier hop" in p for p in problems)
 
     def test_monotone_timestamps_pass(self):
         request = make_request(RequestFactory())
-        request.stamp("l1_miss", 10)
-        request.stamp("l2_in", 12)
-        request.stamp("l2_out", 12)
+        request.timestamps["l1_miss"] = 10
+        request.timestamps["l2_in"] = 12
+        request.timestamps["l2_out"] = 12
         assert timestamp_violations(request, now=100) == []
 
     def test_mshr_accounting_mismatch(self):
