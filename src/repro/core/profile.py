@@ -16,12 +16,14 @@ from the Section IV matrix (``baseline``, ``l1``, ``l2``, ``dram``,
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any
 
 from repro.core.design_space import scale_levels
 from repro.core.explorer import SECTION_IV_CONFIGS
 from repro.core.metrics import run_kernel
 from repro.errors import UsageError
+from repro.runner.job import config_memo_key
 from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.workloads.suite import get_benchmark
@@ -29,9 +31,17 @@ from repro.workloads.suite import get_benchmark
 #: Bumped when the profile document layout changes.
 PROFILE_SCHEMA = 1
 
+#: Scaled configs :func:`config_for_label` keeps: six labels for each of
+#: a few base configs.
+LABEL_MEMO_SIZE = 64
+
 
 def config_for_label(config: GPUConfig, label: str) -> GPUConfig:
-    """Apply one Section IV scaling label to a base configuration."""
+    """Apply one Section IV scaling label to a base configuration.
+
+    Each (base config, label) pair is scaled once; configs are frozen,
+    so callers share the returned object.
+    """
     try:
         levels = SECTION_IV_CONFIGS[label]
     except KeyError:
@@ -39,7 +49,15 @@ def config_for_label(config: GPUConfig, label: str) -> GPUConfig:
             f"unknown config label {label!r}; choose from "
             + ", ".join(SECTION_IV_CONFIGS)
         ) from None
-    return scale_levels(config, levels)
+    memo_key = config_memo_key(config)
+    if memo_key is None:
+        return scale_levels(config, levels)
+    return _scaled(memo_key, levels)
+
+
+@lru_cache(maxsize=LABEL_MEMO_SIZE)
+def _scaled(memo_key: tuple, levels: tuple[str, ...]) -> GPUConfig:
+    return scale_levels(memo_key[0], levels)
 
 
 def profile_kernel(

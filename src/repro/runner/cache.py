@@ -21,10 +21,9 @@ are built on:
   per-batch *delta* records appended with ``O_APPEND`` to a
   ``_usage_deltas.jsonl`` sidecar — a single appended line per batch, so
   concurrent runners never lose each other's read-modify-write the way a
-  shared ``_usage.json`` rewrite would.  :meth:`usage_stats` folds the
-  deltas (plus a legacy ``_usage.json`` base, if present).  The counters
-  stay advisory: a corrupt or missing sidecar never affects correctness,
-  and :meth:`ResultCache.clear` resets them.
+  shared counter-file rewrite would.  :meth:`usage_stats` folds the
+  deltas.  The counters stay advisory: a corrupt or missing sidecar never
+  affects correctness, and :meth:`ResultCache.clear` resets them.
 * Every :meth:`put` appends a record to an ``_index.jsonl`` sidecar
   (key, payload size, store timestamp); :meth:`index` folds it against
   the directory.  With ``max_bytes`` set the store is size-bounded:
@@ -58,7 +57,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_FORMAT = 1
 
 #: Sidecar files (never counted as cache entries).
-USAGE_NAME = "_usage.json"
 USAGE_DELTAS_NAME = "_usage_deltas.jsonl"
 INDEX_NAME = "_index.jsonl"
 
@@ -85,11 +83,16 @@ def _append_jsonl(path: Path, record: dict) -> None:
 
     POSIX guarantees the append offset per write; emitting the whole line
     in one short write keeps concurrent appenders from interleaving, so
-    this is the multi-process-safe primitive every sidecar uses.
+    this is the multi-process-safe primitive every sidecar uses.  A torn
+    final line left by a killed writer is terminated first, so it cannot
+    swallow the record appended after it.
     """
     data = (json.dumps(record, separators=(",", ":")) + "\n").encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            data = b"\n" + data
         os.write(fd, data)
     finally:
         os.close(fd)
@@ -220,7 +223,7 @@ class ResultCache:
                 removed += 1
         for path in self.orphan_temps():
             self._discard(path)
-        for name in (USAGE_NAME, USAGE_DELTAS_NAME, INDEX_NAME):
+        for name in (USAGE_DELTAS_NAME, INDEX_NAME):
             self._discard(self.directory / name)
         return removed
 
@@ -314,21 +317,9 @@ class ResultCache:
     def usage_stats(self) -> dict[str, int]:
         """Lifetime lookup counters: ``hits``, ``misses``, ``batches``.
 
-        Folds the delta sidecar on top of a legacy ``_usage.json`` base
-        (caches written before deltas existed keep their history).
+        Folds the delta sidecar; torn or corrupt records are skipped.
         """
         usage = {"hits": 0, "misses": 0, "batches": 0}
-        try:
-            raw = json.loads(
-                (self.directory / USAGE_NAME).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
-            raw = None
-        if isinstance(raw, dict):
-            for key in usage:
-                value = raw.get(key)
-                if isinstance(value, int) and value >= 0:
-                    usage[key] = value
         for delta in _read_jsonl(self.directory / USAGE_DELTAS_NAME):
             for key in usage:
                 value = delta.get(key)

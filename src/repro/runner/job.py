@@ -11,7 +11,9 @@ rebuilds the kernel from the suite spec, which is deterministic.
 :func:`Job.key` is a stable content hash over the config's dataclass
 fields, the run parameters and :func:`code_version` (a digest of the
 package's own sources), so results cached on disk are invalidated by any
-change to either the experiment or the simulator.
+change to either the experiment or the simulator.  Encoding a config's
+fields is most of a key's cost, so each distinct config is encoded once;
+a sweep's jobs share a handful of configs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
+from typing import Any
 
 from repro.core.metrics import RunMetrics, run_kernel
 from repro.errors import UsageError
@@ -47,6 +50,53 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
+#: Distinct configs whose encoded fields :func:`_config_fields` keeps.  A
+#: sweep needs one base config times the six Section IV labels; the bound
+#: only caps what a long-lived service accumulates.
+CONFIG_MEMO_SIZE = 64
+
+#: Field types whose equal values always encode to the same JSON.
+_EXACT_TYPES = frozenset({int, bool, str, type(None)})
+
+
+def config_memo_key(config: GPUConfig) -> tuple | None:
+    """A memo key under which only identically encoded configs meet.
+
+    Dataclass equality is looser than JSON: ``200 == 200.0``,
+    ``True == 1`` and ``0.0 == -0.0``, yet each pair encodes differently.
+    The key pairs the config with the type of every field, one level of
+    sub-configs deep, and is None (do not memoize) when any field holds
+    something other than an int, bool, str or None, such as the float or
+    list a hand-written config dict can carry.
+    """
+    types: list[type] = []
+    for value in vars(config).values():
+        if hasattr(value, "__dataclass_fields__"):
+            types.extend(map(type, vars(value).values()))
+        else:
+            types.append(type(value))
+    if not _EXACT_TYPES.issuperset(types):
+        return None
+    return config, tuple(types)
+
+
+@lru_cache(maxsize=CONFIG_MEMO_SIZE)
+def _memo_fields(memo_key: tuple) -> dict[str, Any]:
+    return dataclasses.asdict(memo_key[0])
+
+
+def _config_fields(config: GPUConfig) -> dict[str, Any]:
+    """``dataclasses.asdict(config)``, computed once per distinct config.
+
+    The returned dict may be shared between callers: read it, never
+    mutate it.
+    """
+    memo_key = config_memo_key(config)
+    if memo_key is None:
+        return dataclasses.asdict(config)
+    return _memo_fields(memo_key)
+
+
 @dataclasses.dataclass(frozen=True)
 class Job:
     """One ``run_kernel`` invocation as a value."""
@@ -69,7 +119,7 @@ class Job:
         """Stable content hash identifying this job's result."""
         payload = json.dumps(
             {
-                "config": dataclasses.asdict(self.config),
+                "config": _config_fields(self.config),
                 "kernel": self.kernel_name,
                 "seed": self.seed,
                 "iteration_scale": self.iteration_scale,

@@ -15,6 +15,10 @@ Design points, in the order they matter:
   clients requesting the paper's full design space cost exactly one
   simulation pass.  A re-submit after completion also returns the same
   id; its results are served instantly from the store.
+* **Cache hits finish at submit.**  A new submission whose every job is
+  already stored needs no simulation, so :meth:`submit` runs it in the
+  calling thread (the same all-hit batch-runner path, events and store
+  reads) and returns it done; only submissions with work to do queue.
 * **Backpressure.**  The submission queue is bounded
   (``queue_depth``); a submit that would overflow it is rejected with
   the typed ``queue-full`` error rather than queued into unbounded
@@ -31,8 +35,9 @@ Design points, in the order they matter:
   campaign-layer invariant that store presence is the done-authority.
 * **Graceful drain.**  :meth:`drain` stops intake (submits fail with
   ``draining``) while queued and running submissions finish;
-  :meth:`stop` drains, waits for the queue to empty and joins the
-  workers.  ``repro serve`` wires SIGTERM/SIGINT to exactly this path.
+  :meth:`stop` drains, waits for the queue to empty, joins the workers
+  and waits out submissions still running at submit.  ``repro serve``
+  wires SIGTERM/SIGINT to exactly this path.
 """
 
 from __future__ import annotations
@@ -174,7 +179,9 @@ class ReproDaemon:
     def stop(self, timeout: float | None = None) -> bool:
         """Drain, let the queue empty, and join the workers.
 
-        Returns True when every worker exited within ``timeout``.
+        Submissions served at submit run in client threads; those are
+        waited for too.  Returns True when every worker exited and no
+        submission was left running, each within ``timeout``.
         """
         self.drain()
         with self._wake:
@@ -184,7 +191,9 @@ class ReproDaemon:
         for thread in self._threads:
             thread.join(timeout)
             clean = clean and not thread.is_alive()
-        return clean
+        with self._wake:
+            idle = self._wake.wait_for(lambda: not self._running, timeout)
+        return clean and idle
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until no submission is queued or running."""
@@ -217,7 +226,9 @@ class ReproDaemon:
         """Register a submission spec; coalesce onto an identical one.
 
         Job construction happens outside the lock (it hashes configs),
-        the queue/coalesce decision inside it.
+        the queue/coalesce decision inside it.  A submission whose jobs
+        are all stored runs here, in the calling thread, and returns its
+        terminal state; any other queues for the workers.
         """
         check_spec_types(spec)
         jobs = build_jobs(spec)
@@ -262,11 +273,19 @@ class ReproDaemon:
                     events_path=self.state_dir / EVENTS_DIR / f"{sub_id}.jsonl",
                 )
                 self._submissions[sub_id] = submission
-            self._queue.append(submission)
+            stored = all(self.cache.contains(key) for key in keys)
+            if stored:
+                submission.state = RUNNING
+                self._running.add(sub_id)
+            else:
+                self._queue.append(submission)
             self._wake.notify_all()
-            payload = submission.snapshot(self.cache)
-            payload.update({"ok": True, "coalesced": False})
-            return payload
+        if stored:
+            # An entry that vanishes meanwhile is re-simulated in place.
+            self._run(submission)
+        payload = submission.snapshot(self.cache)
+        payload.update({"ok": True, "coalesced": False})
+        return payload
 
     def _get(self, sub_id: Any) -> Submission:
         if not isinstance(sub_id, str) or not sub_id:
@@ -288,13 +307,17 @@ class ReproDaemon:
         submission = self._get(sub_id)
         if not isinstance(since, int) or since < 0:
             raise ServiceError("bad-request", "'since' must be an int >= 0")
+        # State first: ``submission_end`` is written before a terminal
+        # state is published, so a terminal state read here guarantees
+        # the records read next include it.
+        state = submission.state
         records: list[dict[str, Any]] = []
         if submission.events_path is not None:
             records = _read_jsonl(submission.events_path)
         return {
             "ok": True,
             "id": submission.id,
-            "state": submission.state,
+            "state": state,
             "events": records[since:],
             "next": len(records),
         }
@@ -400,12 +423,16 @@ class ReproDaemon:
             submission = self._next_submission()
             if submission is None:
                 return
-            try:
-                self._execute(submission)
-            finally:
-                with self._wake:
-                    self._running.discard(submission.id)
-                    self._wake.notify_all()
+            self._run(submission)
+
+    def _run(self, submission: Submission) -> None:
+        """Execute a submission marked running, then unmark it."""
+        try:
+            self._execute(submission)
+        finally:
+            with self._wake:
+                self._running.discard(submission.id)
+                self._wake.notify_all()
 
     def _chunks(self, submission: Submission) -> list[list[Job]]:
         """Cancel-granularity slices of the submission's unique jobs."""
@@ -446,22 +473,23 @@ class ReproDaemon:
                     break
         except Exception as exc:  # worker threads must never die silently
             error = f"{type(exc).__name__}: {exc}"
-        with self._wake:
-            if cancelled:
-                submission.state = CANCELLED
-            elif error:
-                submission.state = FAILED
-                submission.error = error
-            else:
-                submission.state = DONE
-            submission.finished = time.time()  # noqa: REP001 - service bookkeeping, not simulated time
-            self._wake.notify_all()
-        if events is not None:
-            events.emit(
-                "submission_end", id=submission.id,
-                state=submission.state, error=error,
-            )
-            events.close()
+        state = CANCELLED if cancelled else FAILED if error else DONE
+        # The end event lands before the state is published: a reader
+        # that sees a terminal state also sees the event.
+        try:
+            if events is not None:
+                events.emit(
+                    "submission_end", id=submission.id, state=state,
+                    error=error,
+                )
+                events.close()
+        finally:
+            with self._wake:
+                submission.state = state
+                if state == FAILED:
+                    submission.error = error
+                submission.finished = time.time()  # noqa: REP001 - service bookkeeping, not simulated time
+                self._wake.notify_all()
 
 
 __all__ = [

@@ -3,6 +3,7 @@ and the opt-in observability layer (JSONL event log, progress line,
 cache hit-rate statistics)."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,9 @@ import pickle
 
 import pytest
 
+from repro.core.explorer import SECTION_IV_CONFIGS
 from repro.core.metrics import RunMetrics
+from repro.core.profile import config_for_label
 from repro.cli import main
 from repro.errors import ConfigError, RunnerError, UsageError
 from repro.runner import (
@@ -23,7 +26,7 @@ from repro.runner import (
 )
 from repro.runner.cache import CACHE_FORMAT
 from repro.runner.pool import FAULT_ENV
-from repro.sim.config import tiny_gpu
+from repro.sim.config import config_from_dict, small_gpu, tiny_gpu
 
 #: One cheap job everybody reuses (tiny config, heavily scaled down).
 SCALE = 0.05
@@ -33,6 +36,23 @@ def _job(**overrides):
     defaults = dict(seed=1, iteration_scale=SCALE)
     defaults.update(overrides)
     return Job(tiny_gpu(), "nn", **defaults)
+
+
+def _reference_key(job):
+    """The job-key formula without any memo: asdict on every call."""
+    payload = json.dumps(
+        {
+            "config": dataclasses.asdict(job.config),
+            "kernel": job.kernel_name,
+            "seed": job.seed,
+            "iteration_scale": job.iteration_scale,
+            "max_cycles": job.max_cycles,
+            "code": code_version(),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestJob:
@@ -58,6 +78,37 @@ class TestJob:
             "repro.runner.job.code_version", lambda: "deadbeef")
         assert _job().key() != before  # code changes invalidate cached keys
         assert code_version()  # real digest is non-empty
+
+    @pytest.mark.parametrize("base", [tiny_gpu, small_gpu])
+    @pytest.mark.parametrize("label", list(SECTION_IV_CONFIGS))
+    def test_key_matches_the_unmemoized_formula(self, base, label):
+        config = config_for_label(base(), label)
+        rebuilt = config_from_dict(dataclasses.asdict(config))
+        for cfg in (config, rebuilt, config):  # the last one hits the memo
+            job = Job(cfg, "sc", seed=3, iteration_scale=SCALE)
+            assert job.key() == _reference_key(job)
+
+    def test_equal_configs_built_apart_share_one_key(self):
+        first = config_for_label(small_gpu(), "l2+dram")
+        second = config_from_dict(dataclasses.asdict(first))
+        assert first is not second and first == second
+        assert Job(first, "nn").key() == Job(second, "nn").key()
+
+    def test_equal_configs_that_encode_apart_keep_their_own_keys(self):
+        # 200 == 200.0 and True == 1, but JSON spells them differently:
+        # equality alone must not let one config borrow another's key.
+        ints = tiny_gpu().with_magic_memory(200)
+        floats = dataclasses.replace(ints, magic_latency=200.0)
+        ones = dataclasses.replace(ints, magic_memory=1)
+        assert ints == floats == ones
+        jobs = [Job(cfg, "nn") for cfg in (ints, floats, ones, floats)]
+        assert [job.key() for job in jobs] == [
+            _reference_key(job) for job in jobs
+        ]
+        assert len({job.key() for job in jobs}) == 3
+        scaled = config_for_label(ints, "l2")
+        assert config_for_label(floats, "l2") == scaled
+        assert type(config_for_label(floats, "l2").magic_latency) is float
 
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -530,7 +581,8 @@ class TestCacheUsageStats:
     def test_corrupt_sidecar_is_a_fresh_start(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         cache.directory.mkdir(parents=True)
-        (cache.directory / "_usage.json").write_text("not json{")
+        # A writer killed mid-append leaves a torn, newline-less line.
+        (cache.directory / "_usage_deltas.jsonl").write_text('{"hits": 5, "mi')
         assert cache.usage_stats() == {"hits": 0, "misses": 0, "batches": 0}
         cache.record_usage(hits=2, misses=1)
         assert cache.usage_stats() == {"hits": 2, "misses": 1, "batches": 1}

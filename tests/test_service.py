@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.export import runs_to_text
 from repro.errors import ReproError, UsageError
-from repro.runner import BatchRunner
+from repro.runner import BatchRunner, EventLog, ResultCache
 from repro.runner.cache import _read_jsonl
 from repro.service import (
     ReproDaemon,
@@ -27,7 +27,7 @@ from repro.service import (
     submission_id,
     sweep_spec,
 )
-from repro.service.daemon import CANCELLED, DONE, QUEUED, TERMINAL
+from repro.service.daemon import CANCELLED, DONE, QUEUED, RUNNING, TERMINAL
 from repro.service.protocol import decode_line, encode_line
 
 #: Cheap sweep: tiny config, one benchmark, heavily scaled down.
@@ -242,6 +242,130 @@ class TestDaemonResults:
         assert again["done"] == again["total"]
         daemon.stop(timeout=10)
         assert first["id"] == again["id"]
+
+
+class TestStoredSubmissions:
+    """A submission whose jobs are all stored finishes inside ``submit``."""
+
+    def _stored(self, tmp_path, spec):
+        """Store ``spec``'s results through a worker; return store, CSV."""
+        store = ResultCache(tmp_path / "store")
+        worker_daemon = _daemon(tmp_path / "w", cache=store)
+        queued = worker_daemon.submit(spec)
+        assert queued["state"] == QUEUED  # nothing stored yet
+        worker_daemon.start()
+        assert worker_daemon.wait_idle(timeout=300)
+        worker_csv = worker_daemon.results(queued["id"], "csv")["text"]
+        assert worker_daemon.stop(timeout=10)
+        return store, worker_csv
+
+    def test_all_stored_submission_is_done_at_submit(self, tmp_path):
+        spec = _spec(seeds=[1, 2])
+        store, worker_csv = self._stored(tmp_path, spec)
+        daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
+        status = daemon.submit(spec)
+        assert status["state"] == DONE
+        assert status["coalesced"] is False
+        assert status["done"] == status["total"] == 2
+        assert daemon.ping()["queued"] == 0
+        assert daemon.results(status["id"], "csv")["text"] == worker_csv
+        submission = daemon._get(status["id"])
+        # The worker path's all-hit events, one batch per 1-job chunk,
+        # and no simulation (no job_finish).
+        assert _event_kinds(submission) == [
+            "submission_start",
+            *["cache_hit", "batch_start", "batch_end"] * 2,
+            "submission_end",
+        ]
+        daemon.drain()
+        with pytest.raises(ServiceError) as err:
+            daemon.submit(_spec(seeds=[2]))  # a new id, also all stored
+        assert err.value.code == "draining"
+        assert daemon.stop(timeout=10)
+
+    def test_stop_waits_for_a_submission_running_at_submit(self, tmp_path):
+        spec = _spec()
+        store, _ = self._stored(tmp_path, spec)
+        daemon = _daemon(tmp_path / "s", cache=store)
+        release = threading.Event()
+        execute = daemon._execute
+
+        def held_execute(submission):
+            release.wait(10)
+            execute(submission)
+
+        daemon._execute = held_execute
+        submitter = threading.Thread(target=daemon.submit, args=(spec,))
+        submitter.start()
+        for _ in range(1000):
+            if daemon.ping()["running"]:
+                break
+            threading.Event().wait(0.01)
+        assert daemon.ping()["running"] == 1
+        assert daemon.stop(timeout=0.05) is False
+        release.set()
+        submitter.join(10)
+        assert not submitter.is_alive()
+        assert daemon.stop(timeout=10)
+        assert daemon.ping()["running"] == 0
+
+
+def _end_seen_with_terminal_state(batch):
+    """A terminal state may only be reported with its end event."""
+    kinds = [record.get("event") for record in batch["events"]]
+    return batch["state"] not in TERMINAL or "submission_end" in kinds
+
+
+class TestFollowStreamOrdering:
+    """``events`` never reports a terminal state without ``submission_end``.
+
+    The writer has two steps (emit the end event, publish the state) and
+    the reader two reads (state, records).  Each test forces the
+    interleaving that loses the event when one side has the old order.
+    """
+
+    def _running(self, tmp_path):
+        daemon = _daemon(tmp_path)  # workers never started
+        status = daemon.submit(_spec())
+        submission = daemon._next_submission()
+        assert submission.id == status["id"] and submission.state == RUNNING
+        return daemon, submission
+
+    def test_end_event_lands_before_the_terminal_state(
+        self, tmp_path, monkeypatch
+    ):
+        daemon, submission = self._running(tmp_path)
+        batches = []
+        real_emit = EventLog.emit
+
+        def emit(log, event, **fields):
+            if event == "submission_end":
+                batches.append(daemon.events(submission.id))
+            real_emit(log, event, **fields)
+
+        monkeypatch.setattr(EventLog, "emit", emit)
+        daemon._execute(submission)
+        batches.append(daemon.events(submission.id))
+        assert [b["state"] for b in batches] == [RUNNING, DONE]
+        assert all(_end_seen_with_terminal_state(b) for b in batches)
+
+    def test_state_is_read_before_the_records(self, tmp_path, monkeypatch):
+        daemon, submission = self._running(tmp_path)
+        real_read = _read_jsonl
+        finish = [submission]
+
+        def read_then_finish(path):
+            records = real_read(path)
+            while finish:  # the writer completes between the two reads
+                daemon._execute(finish.pop())
+            return records
+
+        monkeypatch.setattr(
+            "repro.service.daemon._read_jsonl", read_then_finish)
+        batch = daemon.events(submission.id)
+        assert _end_seen_with_terminal_state(batch)
+        assert daemon.status(submission.id)["state"] == DONE
+        assert _end_seen_with_terminal_state(daemon.events(submission.id))
 
 
 class TestSocketTransport:
