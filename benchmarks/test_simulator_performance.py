@@ -10,17 +10,10 @@ import pytest
 
 from repro import get_benchmark
 from repro.gpu import GPU
-from repro.sim.config import SimConfig
-
-#: The event-calendar engine (engine_mode="event") is benchmarked
-#: alongside the default ticked engine under distinct test names, so the
-#: committed trajectory records both modes per entry while the original
-#: three names keep their history.
-_EVENT = SimConfig(engine_mode="event")
 
 
-def _run(config, kernel, sim_config=None):
-    gpu = GPU(config, kernel, sim_config=sim_config)
+def _run(config, kernel):
+    gpu = GPU(config, kernel)
     gpu.run(max_cycles=5_000_000)
     return gpu
 
@@ -60,34 +53,3 @@ def test_perf_magic_mode_run(benchmark, baseline_config):
     benchmark.extra_info["sim_kcycles_per_s"] = round(kcycles_per_s, 1)
     assert kcycles_per_s > 12.0
 
-
-@pytest.mark.benchmark(group="perf")
-def test_perf_congested_run_event(benchmark, baseline_config):
-    """sc at 0.25 scale on the event-calendar engine."""
-    kernel = get_benchmark("sc", 0.25)
-    gpu = benchmark(lambda: _run(baseline_config, kernel, _EVENT))
-    kcycles_per_s = gpu.cycles / 1000 / benchmark.stats["mean"]
-    benchmark.extra_info["sim_kcycles_per_s"] = round(kcycles_per_s, 1)
-    assert kcycles_per_s > 2.5
-
-
-@pytest.mark.benchmark(group="perf")
-def test_perf_compute_bound_run_event(benchmark, baseline_config):
-    """leukocyte on the event-calendar engine: long all-asleep windows
-    become single calendar jumps instead of per-cycle wake probes."""
-    kernel = get_benchmark("leukocyte", 0.25)
-    gpu = benchmark(lambda: _run(baseline_config, kernel, _EVENT))
-    kcycles_per_s = gpu.cycles / 1000 / benchmark.stats["mean"]
-    benchmark.extra_info["sim_kcycles_per_s"] = round(kcycles_per_s, 1)
-    assert kcycles_per_s > 6.0
-
-
-@pytest.mark.benchmark(group="perf")
-def test_perf_magic_mode_run_event(benchmark, baseline_config):
-    """Figure 1 mode on the event-calendar engine."""
-    kernel = get_benchmark("sc", 0.25)
-    config = baseline_config.with_magic_memory(200)
-    gpu = benchmark(lambda: _run(config, kernel, _EVENT))
-    kcycles_per_s = gpu.cycles / 1000 / benchmark.stats["mean"]
-    benchmark.extra_info["sim_kcycles_per_s"] = round(kcycles_per_s, 1)
-    assert kcycles_per_s > 12.0

@@ -133,13 +133,7 @@ from repro.service import (
     sweep_spec,
 )
 from repro.runner.cache import default_cache_dir
-from repro.sim.config import (
-    ENGINE_MODES,
-    GPUConfig,
-    fermi_gtx480,
-    small_gpu,
-    tiny_gpu,
-)
+from repro.sim.config import GPUConfig, fermi_gtx480, small_gpu, tiny_gpu
 from repro.utils.tables import render_table
 from repro.workloads.suite import PAPER_SUITE, SPECS, get_benchmark
 
@@ -161,11 +155,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--benchmarks", nargs="*", default=list(PAPER_SUITE),
         metavar="NAME", help="subset of the suite to run")
-    parser.add_argument(
-        "--engine-mode", choices=ENGINE_MODES, default=None,
-        help="simulation engine: 'ticked' steps every component every "
-             "cycle, 'event' runs the event-calendar scheduler; results "
-             "are byte-identical (default: $REPRO_ENGINE_MODE or ticked)")
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
@@ -1138,10 +1127,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "engine_mode", None):
-        # Exported (not just passed down) so forked pool workers and
-        # subprocesses inherit the choice via default_sim_config().
-        os.environ["REPRO_ENGINE_MODE"] = args.engine_mode
     try:
         return args.func(args)
     except BrokenPipeError:

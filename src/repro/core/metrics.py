@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from repro.cache.l1 import AccessResult
 from repro.errors import CycleLimitExceeded
 from repro.gpu import GPU
-from repro.sim.config import GPUConfig, SimConfig
+from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.utils.means import arithmetic_mean
 from repro.workloads.program import KernelProgram
@@ -243,7 +243,6 @@ def run_kernel(
     attribution: bool = False,
     attribution_window: int | None = None,
     fast_forward: bool = True,
-    engine_mode: str | None = None,
 ) -> RunMetrics:
     """Build, run and measure one kernel on one configuration.
 
@@ -252,12 +251,6 @@ def run_kernel(
     suspended automatically while sanitizer/telemetry observers are
     attached).  Disabling it forces the naive cycle loop — the reference
     the determinism tests compare against.
-
-    ``engine_mode`` selects ``"ticked"`` or ``"event"`` execution (see
-    :mod:`repro.sim.engine`); None defers to the ``REPRO_ENGINE_MODE``
-    environment variable, then the ticked default.  Results are
-    byte-identical across modes, so the mode is not part of any cache
-    key.
 
     With ``sanitize``, a :class:`repro.analysis.Sanitizer` checks the
     model's invariants every ``sanitize_interval`` cycles and raises
@@ -283,10 +276,7 @@ def run_kernel(
     and killed whole sweeps; now a single mis-calibrated point degrades
     to a labelled lower bound instead.)
     """
-    sim_config = (
-        None if engine_mode is None else SimConfig(engine_mode=engine_mode)
-    )
-    gpu = GPU(config, kernel, seed=seed, sim_config=sim_config)
+    gpu = GPU(config, kernel, seed=seed)
     gpu.sim.fast_forward_enabled = fast_forward
     sanitizer = None
     if sanitize:

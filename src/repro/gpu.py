@@ -27,7 +27,7 @@ from repro.icnt.crossbar import Crossbar, PacketSink
 from repro.icnt.ring import RingNetwork
 from repro.mem.address import AddressMapper
 from repro.mem.request import RequestFactory
-from repro.sim.config import GPUConfig, SimConfig
+from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES, Simulator
 from repro.workloads.program import KernelProgram
 
@@ -40,14 +40,13 @@ class GPU:
         config: GPUConfig,
         kernel: KernelProgram,
         seed: int = 1,
-        sim_config: SimConfig | None = None,
     ) -> None:
         self.config = config
         self.kernel = kernel
         self.seed = seed
         self.mapper = AddressMapper(config)
         self.factory = RequestFactory()
-        self.sim = Simulator(sim_config)
+        self.sim = Simulator()
 
         if kernel.scheduler is not None and kernel.scheduler != config.core.scheduler:
             from dataclasses import replace
@@ -143,21 +142,6 @@ class GPU:
         for dram in self.dram_channels:
             self.sim.add(dram)
         self.sim.add(resp)
-
-        # Wake edges for the event engine (see Simulator.connect).  One
-        # edge per way work is handed between components; components that
-        # hold work themselves (blocked outputs, pending completions)
-        # self-report through next_wake and need no edge.
-        sim = self.sim
-        for sm in self.sms:
-            sim.connect(sm, req, signal=sm.l1.miss_queue.__len__)
-        sim.connect_fanout(req, self.l2_slices, req.delivered_sinks)
-        sim.connect_fanout(req, self.sms, req.injected_sources)
-        for l2, dram in zip(self.l2_slices, self.dram_channels):
-            sim.connect(l2, dram, signal=l2.miss_queue.__len__)
-            sim.connect(dram, l2, signal=dram.return_queue.__len__)
-            sim.connect(l2, resp, signal=l2.response_queue.__len__)
-        sim.connect_fanout(resp, self.sms, resp.delivered_sinks)
 
     # ------------------------------------------------------------------
     def done(self) -> bool:

@@ -89,19 +89,8 @@ class Crossbar(Component):
         #: Source deque aliases (mutated in place by StatQueue), saving an
         #: attribute hop in the per-cycle injection/wake scans.
         self._src_items = [src._items for src in self._sources]
-        #: (index, source queue, its deque, input port) rows for injection.
-        self._pairs = list(
-            zip(
-                range(len(self._sources)),
-                self._sources,
-                self._src_items,
-                self._inputs,
-            )
-        )
-        #: Per-step wake-edge records for the event engine: which source
-        #: queues were popped and which sinks received a packet.
-        self._injected_sources: list[int] = []
-        self._delivered_sinks: list[int] = []
+        #: (source queue, its deque, input port) rows for injection.
+        self._pairs = list(zip(self._sources, self._src_items, self._inputs))
         #: Number of input ports holding at least one packet.
         self._active_inputs = 0
         #: Output -> input currently locked to it (None = free).
@@ -122,19 +111,9 @@ class Crossbar(Component):
     # ------------------------------------------------------------------
     def step(self, now: int) -> None:
         self.cycles += 1
-        self._injected_sources.clear()
-        self._delivered_sinks.clear()
         self._inject(now)
         if self._active_inputs:
             self._arbitrate_and_transfer(now)
-
-    def injected_sources(self) -> list[int]:
-        """Source indices popped during the last step (event wake edges)."""
-        return self._injected_sources
-
-    def delivered_sinks(self) -> list[int]:
-        """Sink indices handed a packet during the last step."""
-        return self._delivered_sinks
 
     def next_wake(self, now: int) -> int:
         if self._active_inputs:
@@ -151,14 +130,12 @@ class Crossbar(Component):
         """Move packets from source queues into input-port FIFOs."""
         port_cycles = self._port_cycles
         in_hop = self._in_hop
-        for idx, src, items, port in self._pairs:
+        for src, items, port in self._pairs:
             if not items:
                 continue
-            popped = False
             fifo = port.fifo
             while items and len(fifo) < port.capacity:
                 request = src.pop(now)
-                popped = True
                 request.timestamps[in_hop] = now
                 dest = self._route(request)
                 if not fifo:
@@ -172,8 +149,6 @@ class Crossbar(Component):
                         flits_left=port_cycles[request.kind is not AccessKind.LOAD],
                     )
                 )
-            if popped:
-                self._injected_sources.append(idx)
 
     def _arbitrate_and_transfer(self, now: int) -> None:
         n_inputs = len(self._inputs)
@@ -201,7 +176,6 @@ class Crossbar(Component):
             self.packets_delivered += 1
             packet.request.timestamps[self._out_hop] = now
             sink.accept(packet.request, now)
-            self._delivered_sinks.append(out_idx)
             port.fifo.popleft()
             if not port.fifo:
                 self._active_inputs -= 1

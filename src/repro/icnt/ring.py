@@ -95,10 +95,6 @@ class RingNetwork(Component):
         self._arrivals: list[deque[MemoryRequest]] = [
             deque() for _ in sinks
         ]
-        #: Per-step wake-edge records for the event engine (same contract
-        #: as Crossbar.injected_sources / delivered_sinks).
-        self._injected_sources: list[int] = []
-        self._delivered_sinks: list[int] = []
         # --- statistics ---
         self.packets_delivered = 0
         self.total_hops = 0
@@ -123,18 +119,8 @@ class RingNetwork(Component):
 
     def step(self, now: int) -> None:
         self.cycles += 1
-        self._injected_sources.clear()
-        self._delivered_sinks.clear()
         self._deliver(now)
         self._inject(now)
-
-    def injected_sources(self) -> list[int]:
-        """Source indices popped during the last step (event wake edges)."""
-        return self._injected_sources
-
-    def delivered_sinks(self) -> list[int]:
-        """Sink indices handed a packet during the last step."""
-        return self._delivered_sinks
 
     def next_wake(self, now: int) -> int:
         for buffer in self._arrivals:
@@ -167,7 +153,6 @@ class RingNetwork(Component):
             if len(self._arrivals[out_idx]) >= self.ARRIVAL_BUFFER:
                 continue
             source.pop(now)
-            self._injected_sources.append(idx)
             request.timestamps[self._in_hop] = now
             arrive = now
             for link in links:
@@ -185,15 +170,11 @@ class RingNetwork(Component):
             if not buffer:
                 continue
             sink = self._sinks[out_idx]
-            accepted = False
             while buffer and sink.can_accept(buffer[0]):
                 request = buffer.popleft()
                 request.timestamps[self._out_hop] = now
                 sink.accept(request, now)
                 self.packets_delivered += 1
-                accepted = True
-            if accepted:
-                self._delivered_sinks.append(out_idx)
             if buffer:
                 self.delivery_blocked_cycles += 1
 

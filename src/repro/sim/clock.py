@@ -34,18 +34,6 @@ class ClockDomain:
         """Whether this domain has an edge on core cycle ``now``."""
         return now % self.period == self.phase
 
-    def next_edge(self, cycle: int) -> int:
-        """Smallest core cycle ``>= cycle`` with an edge on this domain.
-
-        The event-calendar engine rounds wake hints up to this so a
-        component is only ever dispatched on cycles where the ticked loop
-        would also have stepped it.
-        """
-        period = self.period
-        if period == 1:
-            return cycle
-        return cycle + (self.phase - cycle) % period
-
     def ticks_in(self, start: int, stop: int) -> int:
         """Number of edges in the half-open core-cycle range [start, stop).
 

@@ -37,7 +37,6 @@ All config dataclasses are frozen; derive variants with
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -48,44 +47,6 @@ from repro.errors import ConfigError
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
-
-
-#: Engine execution modes (see :mod:`repro.sim.engine`): ``"ticked"`` steps
-#: every component on every clock edge; ``"event"`` runs the event-calendar
-#: scheduler driven by ``next_wake`` hints.
-ENGINE_MODES = ("ticked", "event")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Engine-level execution settings — nothing architectural.
-
-    Deliberately separate from :class:`GPUConfig`: the engine mode never
-    changes simulation results (byte-identical ``RunMetrics`` is enforced
-    by tests), so it is not part of any experiment identity or cache key.
-    """
-
-    engine_mode: str = "ticked"
-
-    def __post_init__(self) -> None:
-        _require(
-            self.engine_mode in ENGINE_MODES,
-            f"unknown engine mode {self.engine_mode!r}; "
-            f"expected one of {ENGINE_MODES}",
-        )
-
-
-def default_sim_config() -> SimConfig:
-    """Build a :class:`SimConfig` from the environment.
-
-    ``REPRO_ENGINE_MODE`` selects the engine mode (the CLI's
-    ``--engine-mode`` flag sets it so forked pool workers inherit the
-    choice); unset or empty means the ticked default.
-    """
-    mode = os.environ.get("REPRO_ENGINE_MODE", "").strip().lower()
-    if not mode:
-        return SimConfig()
-    return SimConfig(engine_mode=mode)
 
 
 def _is_pow2(n: int) -> bool:
@@ -425,12 +386,13 @@ def config_from_dict(payload: Mapping[str, Any]) -> GPUConfig:
 
 
 def fermi_gtx480() -> GPUConfig:
-    """Full-scale GTX480 (Fermi) topology: 15 SMs, 6 partitions... scaled
-    queue parameters per Table I.
+    """Full-scale topology approximating the GTX480 (Fermi): 16 SMs x 48
+    warps, 8 partitions, 768 KiB total L2.
 
-    Note: GTX480 has 6 partitions (not a power of two); we use 8 partitions
-    with proportionally adjusted L2 slice size to preserve total L2 capacity
-    and bandwidth ratios while keeping power-of-two address interleaving.
+    The GTX480 has 15 SMs and 6 partitions; 6 is not a power of two, so
+    this uses 16 SMs and 8 partitions (the same 2:1 ratio) with the L2
+    slice size adjusted to keep the 768 KiB total, preserving capacity
+    and bandwidth ratios with power-of-two address interleaving.
     """
     return GPUConfig(
         core=CoreConfig(n_sms=16, warps_per_sm=48),

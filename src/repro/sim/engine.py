@@ -12,38 +12,23 @@ retired") guarded by ``max_cycles``; exceeding the guard raises
 :class:`~repro.errors.CycleLimitExceeded` so mis-calibrated experiments fail
 loudly instead of spinning.
 
-Two execution modes share those semantics (``SimConfig.engine_mode``):
-
-``ticked``
-    The historical loop: every component is stepped on every edge of its
-    clock, with the event-horizon fast-forward of PR 4 jumping windows
-    where *all* components sleep.
-
-``event``
-    An event-calendar scheduler.  Each component carries a scheduled wake
-    cycle in an indexed min-calendar (a lazy binary heap keyed on absolute
-    core cycle); within a cycle, due components are serviced in
-    registration order, so the one-hop-per-cycle contract and mixed
-    clock-domain dispatch order are preserved exactly.  Sleeping
-    components have their skipped clock edges replayed through
-    :meth:`Component.fast_forward` before they next act, and wake edges
-    declared by the model (:meth:`Simulator.connect`) re-arm consumers
-    when a producer hands them work, so results are byte-identical to the
-    ticked loop.  Observers or a ``None`` wake hint degrade back to
-    per-cycle stepping, exactly as fast-forward already does.
+There is one execution loop: every component is stepped on every edge of
+its clock, and an event-horizon fast-forward jumps the windows in which
+*all* components sleep (per their ``next_wake`` hints), replaying the
+skipped cycles' counters through :meth:`Component.fast_forward`.  Results
+are byte-identical with fast-forward on or off; observers or a ``None``
+wake hint turn it off.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
-from heapq import heapify, heappop, heappush
+from collections.abc import Callable
 from typing import Protocol
 
 from repro.errors import CycleLimitExceeded, SimulationError
 from repro.sim.clock import CORE_CLOCK, ClockDomain
 from repro.sim.component import WAKE_NEVER, Component
-from repro.sim.config import SimConfig, default_sim_config
 
 
 class SimObserver(Protocol):
@@ -67,29 +52,13 @@ DEFAULT_MAX_CYCLES = 5_000_000
 class Simulator:
     """Owns the clock and the ordered component list."""
 
-    def __init__(self, sim_config: SimConfig | None = None) -> None:
-        self.sim_config = (
-            sim_config if sim_config is not None else default_sim_config()
-        )
-        #: Execution mode (``"ticked"`` or ``"event"``); see module docs.
-        self.engine_mode: str = self.sim_config.engine_mode
+    def __init__(self) -> None:
         self.cycle: int = 0
         self._entries: list[tuple[Component, ClockDomain]] = []
         self._finalized = False
-        #: Wake edges declared via :meth:`connect` /
-        #: :meth:`connect_fanout`; compiled lazily by the event engine.
-        self._edges: list[
-            tuple[Component, Component, Callable[[], object] | None]
-        ] = []
-        self._fanouts: list[
-            tuple[Component, tuple[Component, ...], Callable[[], Iterable[int]]]
-        ] = []
         #: The fast flag of the active :meth:`run`, so components
         #: registered mid-run still receive :meth:`set_fast_mode`.
         self._run_fast: bool | None = None
-        #: Set by :meth:`add`; tells a live event calendar its compiled
-        #: tables no longer cover every component.
-        self._entries_dirty = False
         #: residue -> bound step methods ticking on that residue of the
         #: clock hyperperiod (preserving registration order); None until
         #: built, or permanently None when the hyperperiod is impractical.
@@ -130,48 +99,9 @@ class Simulator:
         self._dispatch_mod = 0
         self._dispatch_flat = None
         self._wake_fns = None
-        #: A registration while the event calendar is live invalidates its
-        #: compiled tables; the event loop degrades to the ticked loop.
-        self._entries_dirty = True
         if self._run_fast is not None:
             component.set_fast_mode(self._run_fast)
         return component
-
-    def connect(
-        self,
-        producer: Component,
-        consumer: Component,
-        signal: Callable[[], object] | None = None,
-    ) -> None:
-        """Declare that ``producer`` stepping may hand work to ``consumer``.
-
-        Used only by the event engine: after ``producer`` steps, ``signal``
-        (a cheap zero-arg callable, e.g. a queue's bound ``__len__``) is
-        evaluated, and if truthy — or if ``signal`` is None — ``consumer``
-        is re-armed.  A consumer registered *after* the producer is
-        serviced later in the same cycle (same-cycle visibility, matching
-        ticked registration order); one registered before is re-polled on
-        the next cycle (next-cycle visibility).  Edges are advisory for
-        scheduling only; they never change simulation results, but a
-        missing edge would let the event engine oversleep, which the
-        byte-identity tests would catch.
-        """
-        self._edges.append((producer, consumer, signal))
-
-    def connect_fanout(
-        self,
-        producer: Component,
-        consumers: Iterable[Component],
-        touched: Callable[[], Iterable[int]],
-    ) -> None:
-        """Declare a one-to-many wake edge with per-step target selection.
-
-        ``touched`` is evaluated after ``producer`` steps and yields
-        indices into ``consumers`` naming exactly the ones handed work
-        this step (e.g. a crossbar's delivered-sink list).  Semantics
-        otherwise match :meth:`connect`.
-        """
-        self._fanouts.append((producer, tuple(consumers), touched))
 
     @property
     def components(self) -> list[Component]:
@@ -261,326 +191,24 @@ class Simulator:
         self._run_fast = fast
         for component, _ in self._entries:
             component.set_fast_mode(fast)
-        finished_at: int | None = None
-        completed = False
-        if fast and self.engine_mode == "event":
-            finished_at, completed = self._run_event(done, max_cycles, drain)
-            # A mid-run degrade clears fast_forward_enabled; drop the
-            # per-cycle wake probing too, it would keep failing.
-            fast = fast and self.fast_forward_enabled
-        if not completed:
-            while not done():
+        while not done():
+            if self.cycle >= max_cycles:
+                raise CycleLimitExceeded(max_cycles, "done() never satisfied")
+            if fast and self._try_fast_forward(max_cycles):
+                continue  # re-check the cycle budget at the new time
+            self.step()
+        finished_at = self.cycle
+        if drain:
+            while not all(c.is_idle() for c, _ in self._entries):
                 if self.cycle >= max_cycles:
                     raise CycleLimitExceeded(
-                        max_cycles, "done() never satisfied"
+                        max_cycles, "drain never completed"
                     )
                 if fast and self._try_fast_forward(max_cycles):
-                    continue  # re-check the cycle budget at the new time
+                    continue
                 self.step()
-            if finished_at is None:
-                finished_at = self.cycle
-            if drain:
-                while not all(c.is_idle() for c, _ in self._entries):
-                    if self.cycle >= max_cycles:
-                        raise CycleLimitExceeded(
-                            max_cycles, "drain never completed"
-                        )
-                    if fast and self._try_fast_forward(max_cycles):
-                        continue
-                    self.step()
         self.finalize()
         return finished_at
-
-    # ------------------------------------------------------------------
-    # event-calendar engine
-    # ------------------------------------------------------------------
-    def _component_index(self, component: Component) -> int:
-        for i, (candidate, _) in enumerate(self._entries):
-            if candidate is component:
-                return i
-        raise SimulationError(
-            "event edge references a component that was never add()ed"
-        )
-
-    def _compile_event_edges(
-        self,
-    ) -> tuple[
-        list[list[tuple[Callable[[], object] | None, int]]],
-        list[list[tuple[Callable[[], Iterable[int]], list[int]]]],
-        list[list[tuple[Callable[[], object] | None, int]]],
-        list[list[tuple[Callable[[], Iterable[int]], list[int]]]],
-    ]:
-        """Resolve declared edges to positional bitmask tables.
-
-        Returns ``(fwd_plain, fwd_fan, bwd_plain, bwd_fan)`` indexed by
-        producer position.  Plain entries are ``(signal, target_bit)``
-        pairs (signal None = unconditional); fanout entries are
-        ``(touched, per_index_bit)`` where bits for consumers on the wrong
-        side are 0.  Forward edges (consumer registered after the
-        producer) re-arm for the *current* cycle — the ascending sweep has
-        not passed them yet; backward edges re-arm for the next cycle.
-        This mirrors exactly the same/next-cycle visibility registration
-        order gives the ticked loop.
-        """
-        n = len(self._entries)
-        fwd_plain: list[list[tuple[Callable[[], object] | None, int]]] = [
-            [] for _ in range(n)
-        ]
-        bwd_plain: list[list[tuple[Callable[[], object] | None, int]]] = [
-            [] for _ in range(n)
-        ]
-        fwd_fan: list[list[tuple[Callable[[], Iterable[int]], list[int]]]] = [
-            [] for _ in range(n)
-        ]
-        bwd_fan: list[list[tuple[Callable[[], Iterable[int]], list[int]]]] = [
-            [] for _ in range(n)
-        ]
-        for producer, consumer, signal in self._edges:
-            p = self._component_index(producer)
-            q = self._component_index(consumer)
-            side = fwd_plain if q > p else bwd_plain
-            side[p].append((signal, 1 << q))
-        for producer, consumers, touched in self._fanouts:
-            p = self._component_index(producer)
-            positions = [self._component_index(c) for c in consumers]
-            ahead = [1 << q if q > p else 0 for q in positions]
-            behind = [1 << q if q < p else 0 for q in positions]
-            if any(ahead):
-                fwd_fan[p].append((touched, ahead))
-            if any(behind):
-                bwd_fan[p].append((touched, behind))
-        return fwd_plain, fwd_fan, bwd_plain, bwd_fan
-
-    def _advance_event(self, serviced: list[int], target: int) -> None:
-        """Replay every component's skipped clock edges up to ``target``.
-
-        ``serviced[i]`` is the cycle up to which (exclusive) component
-        ``i`` has accounted all its clock edges, via steps or replay.
-        Called before any exit from the event loop so per-cycle counters
-        and intervals match a ticked run ending at the same cycle.
-        Components registered after the calendar was compiled (beyond
-        ``len(serviced)``) have no skipped edges to replay.
-        """
-        for i, (component, clock) in enumerate(self._entries[: len(serviced)]):
-            base = serviced[i]
-            if base < target:
-                missed = clock.ticks_in(base, target)
-                if missed:
-                    component.fast_forward(missed)
-                serviced[i] = target
-
-    def _degrade_to_ticked(self, now: int, serviced: list[int]) -> None:
-        """Finish cycle ``now`` conservatively after a ``None`` wake hint.
-
-        A ``None`` hint invalidates the calendar, so every component that
-        has not yet acted this cycle is brought current and — if its clock
-        has an edge here — stepped, in registration order.  Stepping a
-        sleeping component is always byte-safe (the ticked loop steps
-        everyone), so this hands the ticked loop a world identical to its
-        own at ``now + 1``.  Components registered *during* cycle ``now``
-        (beyond ``len(serviced)``) are skipped: the ticked loop steps them
-        from ``now + 1`` on, exactly as it would after a mid-cycle add.
-        """
-        for i, (component, clock) in enumerate(self._entries[: len(serviced)]):
-            base = serviced[i]
-            if base > now:
-                continue  # already stepped this cycle
-            missed = clock.ticks_in(base, now)
-            if missed:
-                component.fast_forward(missed)
-            if clock.ticks(now):
-                component.step(now)
-            serviced[i] = now + 1
-        self.cycle = now + 1
-        if self._observers:  # pragma: no cover - event mode excludes them
-            for observer in self._observers:
-                observer.on_cycle(now)
-
-    def _run_event(
-        self,
-        done: Callable[[], bool],
-        max_cycles: int,
-        drain: bool,
-    ) -> tuple[int | None, bool]:
-        """Event-calendar loop; returns ``(finished_at, completed)``.
-
-        ``completed`` False means a component published a ``None`` wake
-        hint: the world has been brought to a cycle boundary and the
-        caller must continue on the ticked loop (``finished_at`` is the
-        done-cycle if ``done()`` was already observed).
-
-        Invariants:
-
-        * ``serviced[i]`` — all clock edges of component ``i`` in
-          ``[start, serviced[i])`` are accounted (stepped or replayed).
-        * ``wake[i]`` — the cycle of component ``i``'s single *valid*
-          calendar entry (``WAKE_NEVER`` when none); stale heap entries
-          are skipped lazily on pop.
-        * Components are serviced strictly in registration order within a
-          cycle, so one-hop-per-cycle visibility matches the ticked loop.
-
-        Calendar entries are single ints ``(cycle << shift) | position``
-        (faster to heap-compare than tuples); the due/re-poll sets are
-        int bitmasks, iterated lowest-bit-first — which *is* registration
-        order.
-        """
-        if self._dispatch_mod == 0:
-            self._build_dispatch()
-        entries = self._entries
-        n = len(entries)
-        clocks = [clk for _, clk in entries]
-        on_core_clock = [clk.period == 1 for clk in clocks]
-        steps = [c.step for c, _ in entries]
-        wake_fns = [c.next_wake for c, _ in entries]
-        replay_fns = [c.fast_forward for c, _ in entries]
-        idle_fns = [c.is_idle for c, _ in entries]
-        fwd_plain, fwd_fan, bwd_plain, bwd_fan = self._compile_event_edges()
-        shift = max(1, (n - 1).bit_length()) if n else 1
-        pos_mask = (1 << shift) - 1
-        self._entries_dirty = False
-
-        start = self.cycle
-        serviced = [start] * n
-        wake = [
-            start if on_core_clock[i] else clocks[i].next_edge(start)
-            for i in range(n)
-        ]
-        heap: list[int] = [(wake[i] << shift) | i for i in range(n)]
-        heapify(heap)
-
-        finished_at: int | None = None
-        draining = False
-        #: Positions due at exactly ``self.cycle``, scheduled without a
-        #: heap round-trip (the busy-every-cycle common case).
-        hot_mask = 0
-
-        while True:
-            # Boundary checks at self.cycle — the same points the ticked
-            # loop checks: before every serviced cycle and after every
-            # jump, so cycle-predicate ``done`` exits at identical cycles.
-            if draining:
-                if all(fn() for fn in idle_fns):
-                    self._advance_event(serviced, self.cycle)
-                    return finished_at, True
-            elif done():
-                finished_at = self.cycle
-                if not drain or all(fn() for fn in idle_fns):
-                    self._advance_event(serviced, self.cycle)
-                    return finished_at, True
-                draining = True
-            if self.cycle >= max_cycles:
-                self._advance_event(serviced, max_cycles)
-                raise CycleLimitExceeded(
-                    max_cycles,
-                    "drain never completed"
-                    if draining
-                    else "done() never satisfied",
-                )
-            if hot_mask:
-                c = self.cycle
-            else:
-                c = (heap[0] >> shift) if heap else WAKE_NEVER
-                if c > self.cycle:
-                    # Jump to the next calendar entry (clamped to the
-                    # budget), then loop back so the boundary checks see
-                    # that cycle.
-                    clamped = min(c, max_cycles)
-                    self.cycles_fast_forwarded += clamped - self.cycle
-                    self.cycle = clamped
-                    continue
-            due_mask = hot_mask
-            hot_mask = 0
-            gather_below = (c + 1) << shift
-            while heap and heap[0] < gather_below:
-                i = heappop(heap) & pos_mask
-                if wake[i] == c:
-                    due_mask |= 1 << i
-            repoll_mask = 0
-            while due_mask:
-                bit = due_mask & -due_mask
-                due_mask ^= bit
-                p = bit.bit_length() - 1
-                base = serviced[p]
-                if base > c:
-                    continue  # duplicate calendar entry, already handled
-                if on_core_clock[p]:
-                    if c > base:
-                        replay_fns[p](c - base)
-                else:
-                    missed = clocks[p].ticks_in(base, c)
-                    if missed:
-                        replay_fns[p](missed)
-                    if not clocks[p].ticks(c):
-                        # Woken off-edge (a repoll or a wake rounded short):
-                        # nothing can happen before the next clock edge.
-                        serviced[p] = c
-                        edge = clocks[p].next_edge(c)
-                        wake[p] = edge
-                        heappush(heap, (edge << shift) | p)
-                        continue
-                # A valid calendar entry means the component either asked
-                # to act here or was handed work by an edge; stepping is
-                # always byte-safe (the ticked loop steps everyone), and
-                # components guard their own no-op steps cheaply, so step
-                # without a pre-step wake probe.
-                steps[p](c)
-                serviced[p] = c + 1
-                if self._entries_dirty:
-                    # The step registered a new component the compiled
-                    # tables don't cover; finish this cycle conservatively
-                    # and let the ticked loop (which rebuilds its dispatch)
-                    # take over.  Not a hint failure: fast-forward probing
-                    # stays enabled.
-                    self._degrade_to_ticked(c, serviced)
-                    return finished_at, False
-                for signal, bits in fwd_plain[p]:
-                    if signal is None or signal():
-                        due_mask |= bits
-                for touched, masks in fwd_fan[p]:
-                    for i in touched():
-                        due_mask |= masks[i]
-                for signal, bits in bwd_plain[p]:
-                    if signal is None or signal():
-                        repoll_mask |= bits
-                for touched, masks in bwd_fan[p]:
-                    for i in touched():
-                        repoll_mask |= masks[i]
-                # Post-step scheduling: ask the component when it next
-                # acts instead of blindly re-polling it next cycle.
-                # Mutations later components make this cycle are covered
-                # by their backward edges, which override this wake via
-                # the re-poll sweep below.
-                w = wake_fns[p](c + 1)
-                if w is None:
-                    # Hintless component: the calendar can't be trusted.
-                    self.fast_forward_enabled = False
-                    self._degrade_to_ticked(c, serviced)
-                    return finished_at, False
-                if w <= c + 1:
-                    if on_core_clock[p]:
-                        wake[p] = c + 1
-                        hot_mask |= bit
-                    else:
-                        edge = clocks[p].next_edge(c + 1)
-                        wake[p] = edge
-                        if edge == c + 1:
-                            hot_mask |= bit
-                        else:
-                            heappush(heap, (edge << shift) | p)
-                elif w < WAKE_NEVER:
-                    edge = w if on_core_clock[p] else clocks[p].next_edge(w)
-                    wake[p] = edge
-                    heappush(heap, (edge << shift) | p)
-                else:
-                    wake[p] = WAKE_NEVER
-            nxt = c + 1
-            self.cycle = nxt
-            while repoll_mask:
-                bit = repoll_mask & -repoll_mask
-                repoll_mask ^= bit
-                i = bit.bit_length() - 1
-                wake[i] = nxt
-                hot_mask |= bit
 
     def _try_fast_forward(self, limit: int) -> bool:
         """Jump ``self.cycle`` to the components' joint event horizon.

@@ -182,6 +182,31 @@ class TestEngineSemantics:
             sim.run(lambda: False, max_cycles=100)
         assert sim.cycle == 100  # horizon clamped to the budget
 
+    def test_component_added_mid_run_gets_fast_mode(self):
+        """add() after run() started must propagate the active fast flag
+        (components cache burst state keyed on it), and the rebuilt
+        dispatch must step the newcomer from the next cycle on."""
+        sim = Simulator()
+        seen = []
+
+        class _Recorder(_Sleeper):
+            def set_fast_mode(self, enabled):
+                seen.append(enabled)
+
+        recorder = _Recorder([4])
+        trigger = sim.add(_Sleeper([0, 3]))
+        original = trigger.step
+
+        def add_late(now):
+            original(now)
+            if now == 3:
+                sim.add(recorder)
+
+        trigger.step = add_late
+        sim.run(lambda: sim.cycle >= 6, drain=False)
+        assert seen == [True]
+        assert recorder.stepped[0] == 4
+
 
 class _CallCounter:
     """Counts calls of one method on every instance of a class."""
