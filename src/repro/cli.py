@@ -657,58 +657,58 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    client = _service_client(args)
-    spec = sweep_spec(
-        config=args.config,
-        configs=args.configs,
-        benchmarks=args.benchmarks,
-        seeds=args.seeds,
-        scale=args.scale,
-    )
-    response = client.submit(spec)
-    if response.get("coalesced"):
-        print(
-            f"coalesced onto in-flight submission {response['id']}",
-            file=sys.stderr)
-    print(_render_submission(response))
-    if not (args.wait or args.out):
+    with _service_client(args) as client:
+        spec = sweep_spec(
+            config=args.config,
+            configs=args.configs,
+            benchmarks=args.benchmarks,
+            seeds=args.seeds,
+            scale=args.scale,
+        )
+        response = client.submit(spec)
+        if response.get("coalesced"):
+            print(
+                f"coalesced onto in-flight submission {response['id']}",
+                file=sys.stderr)
+        print(_render_submission(response))
+        if not (args.wait or args.out):
+            return 0
+        status = client.wait_done(
+            response["id"], poll=args.poll, timeout=args.timeout)
+        print(_render_submission(status))
+        if status["state"] != "done":
+            return 1
+        if args.out:
+            result = client.results(status["id"], args.format)
+            path = write_text(args.out, result["text"])
+            print(f"wrote {status['total']} runs to {path} ({args.format})")
         return 0
-    status = client.wait_done(
-        response["id"], poll=args.poll, timeout=args.timeout)
-    print(_render_submission(status))
-    if status["state"] != "done":
-        return 1
-    if args.out:
-        result = client.results(status["id"], args.format)
-        path = write_text(args.out, result["text"])
-        print(f"wrote {status['total']} runs to {path} ({args.format})")
-    return 0
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    client = _service_client(args)
-    if args.follow:
-        state = None
-        for message in client.stream_events(args.id):
-            if "done" in message:
-                state = message.get("state")
-                break
-            event = message.get("event", {})
-            print(json.dumps(event, separators=(",", ":")))
+    with _service_client(args) as client:
+        if args.follow:
+            state = None
+            for message in client.stream_events(args.id):
+                if "done" in message:
+                    state = message.get("state")
+                    break
+                event = message.get("event", {})
+                print(json.dumps(event, separators=(",", ":")))
+            status = client.status(args.id)
+            print(_render_submission(status))
+            return 0 if state == "done" else 1
         status = client.status(args.id)
         print(_render_submission(status))
-        return 0 if state == "done" else 1
-    status = client.status(args.id)
-    print(_render_submission(status))
-    if args.events:
-        for record in client.events(args.id)["events"]:
-            print(json.dumps(record, separators=(",", ":")))
-    return 0
+        if args.events:
+            for record in client.events(args.id)["events"]:
+                print(json.dumps(record, separators=(",", ":")))
+        return 0
 
 
 def _cmd_results(args: argparse.Namespace) -> int:
-    client = _service_client(args)
-    result = client.results(args.id, args.format)
+    with _service_client(args) as client:
+        result = client.results(args.id, args.format)
     if args.out:
         path = write_text(args.out, result["text"])
         print(f"wrote results of {args.id} to {path} ({args.format})")
@@ -718,8 +718,8 @@ def _cmd_results(args: argparse.Namespace) -> int:
 
 
 def _cmd_cancel(args: argparse.Namespace) -> int:
-    client = _service_client(args)
-    status = client.cancel(args.id)
+    with _service_client(args) as client:
+        status = client.cancel(args.id)
     print(_render_submission(status))
     return 0
 

@@ -11,9 +11,9 @@ rebuilds the kernel from the suite spec, which is deterministic.
 :func:`Job.key` is a stable content hash over the config's dataclass
 fields, the run parameters and :func:`code_version` (a digest of the
 package's own sources), so results cached on disk are invalidated by any
-change to either the experiment or the simulator.  Encoding a config's
-fields is most of a key's cost, so each distinct config is encoded once;
-a sweep's jobs share a handful of configs.
+change to either the experiment or the simulator.  Encoding a config is
+most of a key's cost, so each distinct config is encoded to JSON once; a
+sweep's jobs share a handful of configs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import hashlib
 import json
 from functools import lru_cache
 from pathlib import Path
-from typing import Any
 
 from repro.core.metrics import RunMetrics, run_kernel
 from repro.errors import UsageError
@@ -50,9 +49,9 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-#: Distinct configs whose encoded fields :func:`_config_fields` keeps.  A
-#: sweep needs one base config times the six Section IV labels; the bound
-#: only caps what a long-lived service accumulates.
+#: Distinct configs whose JSON :func:`_config_json` keeps.  A sweep needs
+#: one base config times the six Section IV labels; the bound only caps
+#: what a long-lived service accumulates.
 CONFIG_MEMO_SIZE = 64
 
 #: Field types whose equal values always encode to the same JSON.
@@ -80,21 +79,21 @@ def config_memo_key(config: GPUConfig) -> tuple | None:
     return config, tuple(types)
 
 
+#: Compact sorted-key JSON, the encoding every key is hashed from.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @lru_cache(maxsize=CONFIG_MEMO_SIZE)
-def _memo_fields(memo_key: tuple) -> dict[str, Any]:
-    return dataclasses.asdict(memo_key[0])
+def _memo_json(memo_key: tuple) -> str:
+    return _encode(dataclasses.asdict(memo_key[0]))
 
 
-def _config_fields(config: GPUConfig) -> dict[str, Any]:
-    """``dataclasses.asdict(config)``, computed once per distinct config.
-
-    The returned dict may be shared between callers: read it, never
-    mutate it.
-    """
+def _config_json(config: GPUConfig) -> str:
+    """``config``'s fields as compact sorted-key JSON, once per config."""
     memo_key = config_memo_key(config)
     if memo_key is None:
-        return dataclasses.asdict(config)
-    return _memo_fields(memo_key)
+        return _encode(dataclasses.asdict(config))
+    return _memo_json(memo_key)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,18 +115,19 @@ class Job:
             raise UsageError("Job.iteration_scale must be > 0")
 
     def key(self) -> str:
-        """Stable content hash identifying this job's result."""
-        payload = json.dumps(
-            {
-                "config": _config_fields(self.config),
-                "kernel": self.kernel_name,
-                "seed": self.seed,
-                "iteration_scale": self.iteration_scale,
-                "max_cycles": self.max_cycles,
-                "code": code_version(),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        """Stable content hash identifying this job's result.
+
+        The hash is over the compact sorted-key JSON of the job's fields
+        and :func:`code_version`, spelled out in sorted key order so the
+        config's memoized JSON is spliced in rather than re-encoded.
+        """
+        payload = (
+            f'{{"code":{_encode(code_version())}'
+            f',"config":{_config_json(self.config)}'
+            f',"iteration_scale":{_encode(self.iteration_scale)}'
+            f',"kernel":{_encode(self.kernel_name)}'
+            f',"max_cycles":{_encode(self.max_cycles)}'
+            f',"seed":{_encode(self.seed)}}}'
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 

@@ -8,12 +8,13 @@ clients as a long-lived daemon:
 * :class:`ReproDaemon` — bounded submission queue with typed
   backpressure, coalescing of identical in-flight submissions (one
   simulation pass, any number of clients), a worker-thread pool over
-  :class:`~repro.runner.BatchRunner`, per-submission event logs and
-  graceful drain.
+  :class:`~repro.runner.BatchRunner`, per-submission event logs, a
+  bounded registry of finished submissions and graceful drain.
 * :class:`ServiceServer` / :func:`serve` — line-JSON protocol over a
-  unix socket or loopback TCP, SIGTERM wired to drain.
+  unix socket or loopback TCP, many exchanges per connection, SIGTERM
+  wired to drain.
 * :class:`ServiceClient` — the verbs the CLI commands (``repro
-  submit|status|results|cancel``) compose.
+  submit|status|results|cancel``) compose, over one kept connection.
 * :mod:`~repro.service.protocol` — submission specs, content-hashed
   submission ids, typed :class:`ServiceError` codes.
 

@@ -1,21 +1,27 @@
 """Client plumbing for the simulation service.
 
-:class:`ServiceClient` opens one connection per request (the protocol is
-single-exchange), raises the daemon's typed
-:class:`~repro.service.protocol.ServiceError` on error payloads, and
+:class:`ServiceClient` keeps one connection to the daemon and sends
+every request over it, one exchange at a time; if a kept connection
+turns out dead (the daemon restarted, or closed it), the request is
+resent once on a fresh one.  Every verb is safe to resend: reads have no
+side effects, ``cancel`` is idempotent and ``submit`` coalesces by
+content id.  The client raises the daemon's typed
+:class:`~repro.service.protocol.ServiceError` on error payloads and
 offers the small set of verbs the CLI commands (``repro
 submit|status|results|cancel``) and tests compose: ``submit``,
 ``status``, ``events``, ``stream_events``, ``results``, ``cancel``,
-``ping`` and ``wait_done``.
+``ping`` and ``wait_done``.  ``stream_events`` uses a connection of its
+own.  Close the client (or use it as a context manager) when done.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
 from collections.abc import Iterator
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.errors import UsageError
 from repro.service.daemon import TERMINAL
@@ -46,6 +52,9 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._lock = threading.Lock()
+        #: The kept connection and its line reader, opened on first use.
+        self._kept: tuple[socket.socket, BinaryIO] | None = None
 
     # ------------------------------------------------------------------
     def _connect(self) -> socket.socket:
@@ -53,7 +62,11 @@ class ServiceClient:
             if self.socket_path is not None:
                 conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
                 conn.settimeout(self.timeout)
-                conn.connect(str(self.socket_path))
+                try:
+                    conn.connect(str(self.socket_path))
+                except OSError:
+                    conn.close()
+                    raise
             else:
                 conn = socket.create_connection(
                     (self.host, int(self.port or 0)), timeout=self.timeout
@@ -73,23 +86,66 @@ class ServiceClient:
         return f"{self.host}:{self.port}"
 
     def request(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """One request/response exchange; typed errors re-raise here."""
-        with self._connect() as conn:
-            try:
-                conn.sendall(encode_line(payload))
-                line = conn.makefile("rb").readline(16 * 1024 * 1024)
-            except OSError as exc:
-                raise ServiceError(
-                    "internal", f"connection to {self.address} failed: {exc}"
-                ) from exc
-        if not line:
-            raise ServiceError(
-                "internal", f"daemon at {self.address} closed the connection"
-            )
+        """One request/response exchange; typed errors re-raise here.
+
+        A kept connection that died between requests (the daemon
+        restarted or closed it) earns one resend on a fresh one; a
+        timeout does not, as the daemon is slow rather than gone.
+        """
+        data = encode_line(payload)
+        with self._lock:
+            while True:
+                reused = self._kept is not None
+                try:
+                    line = self._exchange(data)
+                except OSError as exc:
+                    self._drop()
+                    if not reused or isinstance(exc, TimeoutError):
+                        raise ServiceError(
+                            "internal",
+                            f"connection to {self.address} failed: {exc}",
+                        ) from exc
+                    continue
+                if not line.endswith(b"\n"):
+                    self._drop()  # EOF, or cut at the size limit
+                if line:
+                    break
+                if not reused:
+                    raise ServiceError(
+                        "internal",
+                        f"daemon at {self.address} closed the connection",
+                    )
         response = decode_line(line)
         if not response.get("ok", False):
             raise ServiceError.from_payload(response)
         return response
+
+    def _exchange(self, data: bytes) -> bytes:
+        """Send one line and read one, connecting first if needed."""
+        if self._kept is None:
+            conn = self._connect()
+            self._kept = conn, conn.makefile("rb")
+        conn, reader = self._kept
+        conn.sendall(data)
+        return reader.readline(16 * 1024 * 1024)
+
+    def _drop(self) -> None:
+        if self._kept is not None:
+            conn, reader = self._kept
+            self._kept = None
+            reader.close()
+            conn.close()
+
+    def close(self) -> None:
+        """Close the kept connection; a later request opens a new one."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def submit(self, spec: dict[str, Any]) -> dict[str, Any]:

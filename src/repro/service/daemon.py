@@ -14,11 +14,19 @@ Design points, in the order they matter:
   *same* id instead of enqueueing a second copy — many concurrent
   clients requesting the paper's full design space cost exactly one
   simulation pass.  A re-submit after completion also returns the same
-  id; its results are served instantly from the store.
+  id; its results are served instantly from the store.  A done
+  submission whose stored results vanished is re-attempted instead.
 * **Cache hits finish at submit.**  A new submission whose every job is
   already stored needs no simulation, so :meth:`submit` runs it in the
-  calling thread (the same all-hit batch-runner path, events and store
-  reads) and returns it done; only submissions with work to do queue.
+  calling thread as one all-hit batch (the batch-runner path, events and
+  store reads) and returns it done; only submissions with work to do
+  queue.
+* **Bounded registry.**  The daemon remembers at most
+  :data:`FINISHED_KEPT` finished submissions and forgets the least
+  recently finished first, so its memory does not grow with the work it
+  has served.  Queued and running submissions are never forgotten.  Ids
+  are content-addressed, so a resubmit of a forgotten sweep finishes at
+  submit under the same id.
 * **Backpressure.**  The submission queue is bounded
   (``queue_depth``); a submit that would overflow it is rejected with
   the typed ``queue-full`` error rather than queued into unbounded
@@ -31,8 +39,9 @@ Design points, in the order they matter:
   mid-submission without killing workers.
 * **Done-authority.**  Results live in the daemon's shared
   :class:`~repro.runner.ResultCache`; the store's eviction guard
-  (``protect_keys``) covers every live submission's keys, mirroring the
-  campaign-layer invariant that store presence is the done-authority.
+  (``protect_keys``) covers every remembered submission's keys,
+  mirroring the campaign-layer invariant that store presence is the
+  done-authority.
 * **Graceful drain.**  :meth:`drain` stops intake (submits fail with
   ``draining``) while queued and running submissions finish;
   :meth:`stop` drains, waits for the queue to empty, joins the workers
@@ -67,6 +76,9 @@ from repro.service.protocol import (
 #: Default bound on queued (not yet running) submissions.
 DEFAULT_QUEUE_DEPTH = 16
 
+#: Finished submissions the daemon remembers; older ones are forgotten.
+FINISHED_KEPT = 1024
+
 #: Directory names under the daemon's state directory.
 STORE_DIR = "store"
 EVENTS_DIR = "events"
@@ -97,6 +109,9 @@ class Submission:
     finished: float = 0.0
     events_path: Path | None = None
     cancel_requested: bool = False
+    #: Set by ``submit`` when every job was stored: the submission runs
+    #: in the submitting thread, as one batch.
+    at_submit: bool = False
 
     def snapshot(self, store: ResultCache) -> dict[str, Any]:
         """Status payload: lifecycle state plus store-backed progress."""
@@ -146,6 +161,8 @@ class ReproDaemon:
         self._wake = threading.Condition(self._lock)
         self._queue: collections.deque[Submission] = collections.deque()
         self._submissions: dict[str, Submission] = {}
+        #: Ids of finished submissions, least recently finished first.
+        self._finished: dict[str, None] = {}
         self._running: set[str] = set()
         self._threads: list[threading.Thread] = []
         self._draining = False
@@ -212,7 +229,7 @@ class ReproDaemon:
         return True
 
     def _live_keys(self) -> set[str]:
-        """Union of every tracked submission's job keys (evict guard)."""
+        """Union of every remembered submission's job keys (evict guard)."""
         with self._lock:
             keys: set[str] = set()
             for submission in self._submissions.values():
@@ -239,9 +256,12 @@ class ReproDaemon:
         sub_id = submission_id(keys)
         with self._wake:
             existing = self._submissions.get(sub_id)
-            if existing is not None and existing.state not in (FAILED, CANCELLED):
-                # Queued, running or done: one simulation pass serves
-                # every identical client.
+            stored = all(self.cache.contains(key) for key in keys)
+            if existing is not None and (
+                existing.state in (QUEUED, RUNNING)
+                or existing.state == DONE and stored
+            ):
+                # One simulation pass serves every identical client.
                 existing.clients += 1
                 payload = existing.snapshot(self.cache)
                 payload.update({"ok": True, "coalesced": True})
@@ -257,13 +277,14 @@ class ReproDaemon:
                     "retry after in-flight work completes",
                 )
             if existing is not None:
-                # Failed or cancelled earlier: re-attempt under the same
-                # id with a fresh lifecycle.
+                # Failed, cancelled, or done with results that vanished
+                # from the store: re-attempt under the same id with a
+                # fresh lifecycle.
                 submission = existing
-                submission.state = QUEUED
                 submission.error = ""
                 submission.cancel_requested = False
                 submission.clients += 1
+                self._finished.pop(sub_id, None)
             else:
                 submission = Submission(
                     id=sub_id,
@@ -273,13 +294,14 @@ class ReproDaemon:
                     events_path=self.state_dir / EVENTS_DIR / f"{sub_id}.jsonl",
                 )
                 self._submissions[sub_id] = submission
-            stored = all(self.cache.contains(key) for key in keys)
+            submission.at_submit = stored
             if stored:
                 submission.state = RUNNING
                 self._running.add(sub_id)
             else:
+                submission.state = QUEUED
                 self._queue.append(submission)
-            self._wake.notify_all()
+                self._wake.notify_all()
         if stored:
             # An entry that vanishes meanwhile is re-simulated in place.
             self._run(submission)
@@ -293,7 +315,12 @@ class ReproDaemon:
         with self._lock:
             submission = self._submissions.get(sub_id)
         if submission is None:
-            raise ServiceError("unknown-job", f"no submission {sub_id!r}")
+            raise ServiceError(
+                "unknown-job",
+                f"no submission {sub_id!r} (the daemon forgets old finished "
+                "submissions; resubmit the sweep to get its stored results "
+                "at once)",
+            )
         return submission
 
     def status(self, sub_id: Any) -> dict[str, Any]:
@@ -364,6 +391,7 @@ class ReproDaemon:
                     pass  # a worker grabbed it between checks
                 else:
                     submission.state = CANCELLED
+                    self._finish(submission)
                     self._wake.notify_all()
             if submission.state in (QUEUED, RUNNING):
                 submission.cancel_requested = True
@@ -434,8 +462,28 @@ class ReproDaemon:
                 self._running.discard(submission.id)
                 self._wake.notify_all()
 
+    def _finish(self, submission: Submission) -> None:
+        """Remember a now-terminal submission; forget the oldest (locked).
+
+        Only finished ids are ever forgotten, so a queued or running
+        submission stays reachable however many finish around it.  A
+        re-attempt takes its id out of ``_finished`` first, so each
+        finish lands last.
+        """
+        self._finished[submission.id] = None
+        while len(self._finished) > FINISHED_KEPT:
+            oldest = next(iter(self._finished))
+            del self._finished[oldest]
+            del self._submissions[oldest]
+
     def _chunks(self, submission: Submission) -> list[list[Job]]:
-        """Cancel-granularity slices of the submission's unique jobs."""
+        """Cancel-granularity slices of the submission's unique jobs.
+
+        Chunks let ``cancel`` land between simulations; a submission run
+        at submit simulates nothing, so it runs as a single batch.
+        """
+        if submission.at_submit:
+            return [submission.jobs]
         width = max(1, self.jobs or (len(submission.jobs)))
         return [
             submission.jobs[start:start + width]
@@ -489,6 +537,7 @@ class ReproDaemon:
                 if state == FAILED:
                     submission.error = error
                 submission.finished = time.time()  # noqa: REP001 - service bookkeeping, not simulated time
+                self._finish(submission)
                 self._wake.notify_all()
 
 
@@ -497,6 +546,7 @@ __all__ = [
     "CANCELLED",
     "DONE",
     "FAILED",
+    "FINISHED_KEPT",
     "QUEUED",
     "RUNNING",
     "TERMINAL",

@@ -2,7 +2,8 @@
 
 One request is one JSON object on one line; one response is one JSON
 object on one line (the ``events`` operation with ``follow`` streams
-several).  The same protocol runs unchanged over a unix stream socket
+several).  A connection carries any number of such exchanges.  The same
+protocol runs unchanged over a unix stream socket
 (``repro serve --socket PATH``) or a loopback TCP socket (``--port N``),
 so the client and tests never care which transport the daemon chose.
 
@@ -58,7 +59,7 @@ ERROR_CODES = (
     "bad-request",    # malformed request or submission spec
     "queue-full",     # bounded submission queue rejected the submit
     "draining",       # daemon is draining: no new submissions
-    "unknown-job",    # no submission with that id
+    "unknown-job",    # no submission with that id, or a forgotten finished one
     "not-done",       # results requested before the submission settled
     "incomplete",     # stored results vanished (store cleared externally)
     "internal",       # unexpected server-side failure

@@ -2,15 +2,18 @@
 
 :class:`ServiceServer` listens on a unix stream socket (``--socket
 PATH``) or a loopback TCP port (``--port N``) and speaks the line-JSON
-protocol of :mod:`repro.service.protocol`: each connection carries one
-request line and receives one response line — except ``events`` with
-``follow``, which streams one line per event until the submission
-settles, then a final ``{"done": true}`` line.
+protocol of :mod:`repro.service.protocol`: a connection carries any
+number of exchanges, each one request line answered by one response
+line, until the client closes it.  ``events`` with ``follow`` is the
+exception: it streams one line per event until the submission settles,
+then a final ``{"done": true}`` line, and ends its connection.  A client
+that sends one line and closes is served exactly as before.
 
 The accept loop runs with a short timeout so :meth:`request_stop` (wired
 to SIGTERM/SIGINT by ``repro serve``) is honoured promptly; connection
 handlers run in daemon threads, and every failure is answered with a
-typed error payload rather than a dropped connection.
+typed error payload rather than a dropped connection.  :meth:`close`
+ends kept connections once their current exchange is answered.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.errors import ReproError, UsageError
 from repro.service.daemon import TERMINAL, ReproDaemon
@@ -51,6 +54,8 @@ class ServiceServer:
         self.socket_path = Path(socket_path).expanduser() if socket_path else None
         self.host = host
         self._stop = threading.Event()
+        self._conns_lock = threading.Lock()
+        self._conns: set[socket.socket] = set()
         if self.socket_path is not None:
             # A previous daemon that died uncleanly leaves the socket
             # file behind; binding requires the path to be free.
@@ -93,6 +98,8 @@ class ServiceServer:
                     continue
                 except OSError:
                     break  # listening socket closed under us
+                with self._conns_lock:
+                    self._conns.add(conn)
                 thread = threading.Thread(
                     target=self._handle, args=(conn,), daemon=True
                 )
@@ -106,6 +113,15 @@ class ServiceServer:
             self._sock.close()
         except OSError:
             pass
+        with self._conns_lock:
+            conns = list(self._conns)
+        for conn in conns:
+            # Shut only the read side: a handler blocked waiting for the
+            # next request sees EOF, one mid-exchange still answers.
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
         if self.socket_path is not None:
             try:
                 self.socket_path.unlink()
@@ -114,32 +130,40 @@ class ServiceServer:
 
     # ------------------------------------------------------------------
     def _handle(self, conn: socket.socket) -> None:
-        with conn:
-            reader = conn.makefile("rb")
-            try:
-                line = reader.readline(1024 * 1024)
-            except OSError:
-                return
-            if not line:
-                return
-            try:
-                request = decode_line(line)
-                if (
-                    request.get("op") == "events"
-                    and request.get("follow")
-                ):
-                    self._stream_events(conn, request)
-                    return
-                response = self.daemon.handle(request)
-            except ServiceError as exc:
-                response = exc.to_payload()
-            except ReproError as exc:
-                response = ServiceError("bad-request", str(exc)).to_payload()
-            except Exception as exc:  # handler threads must answer, not die
-                response = ServiceError(
-                    "internal", f"{type(exc).__name__}: {exc}"
-                ).to_payload()
-            self._send(conn, response)
+        try:
+            with conn:
+                reader = conn.makefile("rb")
+                while self._exchange(conn, reader):
+                    pass
+        finally:
+            with self._conns_lock:
+                self._conns.discard(conn)
+
+    def _exchange(self, conn: socket.socket, reader: BinaryIO) -> bool:
+        """Answer one request line; False when the connection is over."""
+        try:
+            line = reader.readline(1024 * 1024)
+        except OSError:
+            return False
+        if not line:
+            return False
+        try:
+            request = decode_line(line)
+            if request.get("op") == "events" and request.get("follow"):
+                self._stream_events(conn, request)
+                return False
+            response = self.daemon.handle(request)
+        except ServiceError as exc:
+            response = exc.to_payload()
+        except ReproError as exc:
+            response = ServiceError("bad-request", str(exc)).to_payload()
+        except Exception as exc:  # handler threads must answer, not die
+            response = ServiceError(
+                "internal", f"{type(exc).__name__}: {exc}"
+            ).to_payload()
+        # A line without its newline ended at EOF or at the size limit;
+        # either way there is no next request to read.
+        return self._send(conn, response) and line.endswith(b"\n")
 
     def _send(self, conn: socket.socket, payload: dict[str, Any]) -> bool:
         try:

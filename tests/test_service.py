@@ -9,7 +9,10 @@ test controls exactly when simulation begins.  Socket tests run the real
 accept loop in a thread over a unix socket in ``tmp_path``.
 """
 
+import contextlib
 import dataclasses
+import socket
+import sys
 import threading
 
 import pytest
@@ -27,7 +30,14 @@ from repro.service import (
     submission_id,
     sweep_spec,
 )
-from repro.service.daemon import CANCELLED, DONE, QUEUED, RUNNING, TERMINAL
+from repro.service.daemon import (
+    CANCELLED,
+    DONE,
+    FINISHED_KEPT,
+    QUEUED,
+    RUNNING,
+    TERMINAL,
+)
 from repro.service.protocol import decode_line, encode_line
 
 #: Cheap sweep: tiny config, one benchmark, heavily scaled down.
@@ -231,6 +241,21 @@ class TestDaemonResults:
         assert err.value.code == "incomplete"
         daemon.stop(timeout=10)
 
+    def test_resubmit_after_a_cleared_store_re_simulates(self, tmp_path):
+        daemon = _daemon(tmp_path)
+        first = daemon.submit(_spec())
+        daemon.start()
+        assert daemon.wait_idle(timeout=300)
+        exported = daemon.results(first["id"], "csv")["text"]
+        daemon.cache.clear()
+        again = daemon.submit(_spec())
+        assert again["id"] == first["id"]
+        assert again["coalesced"] is False
+        assert daemon.wait_idle(timeout=300)
+        assert daemon.status(first["id"])["state"] == DONE
+        assert daemon.results(first["id"], "csv")["text"] == exported
+        daemon.stop(timeout=10)
+
     def test_resubmit_after_done_is_a_cache_hit(self, tmp_path):
         daemon = _daemon(tmp_path)
         first = daemon.submit(_spec())
@@ -270,18 +295,43 @@ class TestStoredSubmissions:
         assert daemon.ping()["queued"] == 0
         assert daemon.results(status["id"], "csv")["text"] == worker_csv
         submission = daemon._get(status["id"])
-        # The worker path's all-hit events, one batch per 1-job chunk,
-        # and no simulation (no job_finish).
+        # One all-hit batch over every job, and no simulation (no
+        # job_finish).
         assert _event_kinds(submission) == [
-            "submission_start",
-            *["cache_hit", "batch_start", "batch_end"] * 2,
-            "submission_end",
+            "submission_start", "cache_hit", "cache_hit", "batch_start",
+            "batch_end", "submission_end",
         ]
         daemon.drain()
         with pytest.raises(ServiceError) as err:
             daemon.submit(_spec(seeds=[2]))  # a new id, also all stored
         assert err.value.code == "draining"
         assert daemon.stop(timeout=10)
+
+    def test_registry_forgets_the_oldest_finished_submissions(self, tmp_path):
+        spec = _spec()
+        store, worker_csv = self._stored(tmp_path, spec)
+        daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
+        oldest = daemon.submit(spec)
+        assert oldest["state"] == DONE
+        # Cancelled queued submissions finish without simulating.
+        for seed in range(2, FINISHED_KEPT + 4):
+            queued = daemon.submit(_spec(seeds=[seed]))
+            daemon.cancel(queued["id"])
+        assert len(daemon._submissions) <= FINISHED_KEPT
+        with pytest.raises(ServiceError) as err:
+            daemon.status(oldest["id"])
+        assert err.value.code == "unknown-job"
+        again = daemon.submit(spec)
+        assert again["id"] == oldest["id"]
+        assert (again["state"], again["coalesced"]) == (DONE, False)
+        assert daemon.results(again["id"], "csv")["text"] == worker_csv
+        # At capacity, each finish forgets a finished submission, never
+        # a queued one.
+        waiting = daemon.submit(_spec(seeds=[FINISHED_KEPT + 4]))
+        for seed in range(FINISHED_KEPT + 5, FINISHED_KEPT + 8):
+            daemon.cancel(daemon.submit(_spec(seeds=[seed]))["id"])
+        assert daemon.status(waiting["id"])["state"] == QUEUED
+        assert len(daemon._submissions) == FINISHED_KEPT + 1
 
     def test_stop_waits_for_a_submission_running_at_submit(self, tmp_path):
         spec = _spec()
@@ -368,22 +418,50 @@ class TestFollowStreamOrdering:
         assert _end_seen_with_terminal_state(daemon.events(submission.id))
 
 
-class TestSocketTransport:
-    def _serve(self, tmp_path, **daemon_overrides):
-        daemon = _daemon(tmp_path, **daemon_overrides)
-        server = ServiceServer(daemon, socket_path=tmp_path / "svc.sock")
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        client = ServiceClient(socket_path=tmp_path / "svc.sock")
-        deadline = 100
-        for _ in range(deadline):
+@contextlib.contextmanager
+def _serving(tmp_path):
+    """A daemon behind a socket server in a thread, plus a client.
+
+    On exit the client is closed and the server and daemon stopped, so
+    no handler thread or connection outlives the test.
+    """
+    daemon = _daemon(tmp_path)
+    server = ServiceServer(daemon, socket_path=tmp_path / "svc.sock")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    client = ServiceClient(socket_path=tmp_path / "svc.sock")
+    try:
+        for _ in range(100):
             try:
                 client.ping()
                 break
             except ServiceError:
                 threading.Event().wait(0.05)
-        return daemon, server, thread, client
+        yield daemon, server, client
+    finally:
+        client.close()
+        server.request_stop()
+        daemon.stop(timeout=10)
+        thread.join(timeout=10)
 
+
+def _raw_connection(path):
+    conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    conn.settimeout(30)
+    conn.connect(str(path))
+    return conn
+
+
+def _no_connections_left(server):
+    for _ in range(200):
+        with server._conns_lock:
+            if not server._conns:
+                return True
+        threading.Event().wait(0.01)
+    return False
+
+
+class TestSocketTransport:
     def test_server_needs_exactly_one_transport(self, tmp_path):
         daemon = _daemon(tmp_path)
         with pytest.raises(UsageError):
@@ -394,43 +472,40 @@ class TestSocketTransport:
             ServiceClient()
 
     def test_concurrent_clients_share_one_simulation(self, tmp_path):
-        daemon, server, thread, _ = self._serve(tmp_path)
         results = [None, None]
 
         def _client(slot):
-            client = ServiceClient(socket_path=tmp_path / "svc.sock")
-            submitted = client.submit(_spec())
-            final = client.wait_done(submitted["id"], timeout=300)
-            assert final["state"] == DONE
-            results[slot] = (
-                submitted, client.results(submitted["id"])["text"])
+            with ServiceClient(socket_path=tmp_path / "svc.sock") as client:
+                submitted = client.submit(_spec())
+                final = client.wait_done(submitted["id"], timeout=300)
+                assert final["state"] == DONE
+                results[slot] = (
+                    submitted, client.results(submitted["id"])["text"])
 
-        clients = [
-            threading.Thread(target=_client, args=(slot,))
-            for slot in (0, 1)
-        ]
-        for worker in clients:
-            worker.start()
-        for worker in clients:
-            worker.join(timeout=300)
-        assert all(entry is not None for entry in results)
-        (first, text_a), (second, text_b) = results
-        assert first["id"] == second["id"]
-        # One submit created the submission, the other coalesced.
-        assert {first["coalesced"], second["coalesced"]} == {True, False}
-        assert text_a == text_b
-        submission = daemon._get(first["id"])
-        kinds = _event_kinds(submission)
-        assert kinds.count("submission_start") == 1
-        assert kinds.count("job_finish") == len(submission.keys)
-        server.request_stop()
-        daemon.stop(timeout=10)
-        thread.join(timeout=10)
+        with _serving(tmp_path) as (daemon, _, _):
+            clients = [
+                threading.Thread(target=_client, args=(slot,))
+                for slot in (0, 1)
+            ]
+            for worker in clients:
+                worker.start()
+            for worker in clients:
+                worker.join(timeout=300)
+            assert all(entry is not None for entry in results)
+            (first, text_a), (second, text_b) = results
+            assert first["id"] == second["id"]
+            # One submit created the submission, the other coalesced.
+            assert {first["coalesced"], second["coalesced"]} == {True, False}
+            assert text_a == text_b
+            submission = daemon._get(first["id"])
+            kinds = _event_kinds(submission)
+            assert kinds.count("submission_start") == 1
+            assert kinds.count("job_finish") == len(submission.keys)
 
     def test_event_stream_follows_to_completion(self, tmp_path):
-        daemon, server, thread, client = self._serve(tmp_path)
-        submitted = client.submit(_spec())
-        messages = list(client.stream_events(submitted["id"]))
+        with _serving(tmp_path) as (_, _, client):
+            submitted = client.submit(_spec())
+            messages = list(client.stream_events(submitted["id"]))
         assert messages, "follow stream yielded nothing"
         final = messages[-1]
         assert final.get("done") is True
@@ -440,37 +515,117 @@ class TestSocketTransport:
             for message in messages if "event" in message
         ]
         assert "submission_start" in kinds and "submission_end" in kinds
-        server.request_stop()
-        daemon.stop(timeout=10)
-        thread.join(timeout=10)
+
+    def test_follow_stream_ends_its_connection(self, tmp_path):
+        with _serving(tmp_path) as (_, server, client):
+            submitted = client.submit(_spec())
+            client.wait_done(submitted["id"], timeout=300, poll=0.01)
+            with _raw_connection(tmp_path / "svc.sock") as conn:
+                conn.sendall(encode_line({
+                    "op": "events", "id": submitted["id"], "follow": True}))
+                lines = conn.makefile("rb").readlines()
+            assert decode_line(lines[-1])["done"] is True
+            assert len(lines) > 1
+            client.close()
+            assert _no_connections_left(server)
+
+    def test_one_connection_carries_many_exchanges(self, tmp_path):
+        with _serving(tmp_path) as (_, _, _):
+            with _raw_connection(tmp_path / "svc.sock") as conn:
+                conn.sendall(
+                    encode_line({"op": "ping"})
+                    + encode_line({"op": "status", "id": "feedface"}))
+                reader = conn.makefile("rb")
+                first = decode_line(reader.readline())
+                second = decode_line(reader.readline())
+        assert first["ok"] is True and "protocol" in first
+        assert second["ok"] is False
+        assert second["error"]["code"] == "unknown-job"
+
+    def test_one_exchange_clients_are_still_served(self, tmp_path):
+        with _serving(tmp_path) as (_, server, client):
+            client.close()
+            with _raw_connection(tmp_path / "svc.sock") as conn:
+                conn.sendall(encode_line({"op": "ping"}))
+                response = decode_line(conn.makefile("rb").readline())
+            assert response["ok"] is True
+            # Closing after one exchange ends the handler too.
+            assert _no_connections_left(server)
+
+    def test_client_reconnects_once_after_a_server_restart(self, tmp_path):
+        with ServiceClient(socket_path=tmp_path / "svc.sock") as client:
+            connects = []
+            real_connect = client._connect
+
+            def counted_connect():
+                connects.append(1)
+                return real_connect()
+
+            client._connect = counted_connect
+            with _serving(tmp_path):
+                assert client.ping()["ok"] and client.ping()["ok"]
+                assert len(connects) == 1
+            # Same socket path, new server: the kept connection is dead.
+            with _serving(tmp_path):
+                assert client.ping()["ok"]
+                assert len(connects) == 2
+            with pytest.raises(ServiceError) as err:
+                client.ping()  # nothing listens: the fresh connect fails
+            assert err.value.code == "internal"
+
+    def test_threads_sharing_a_client_get_their_own_answers(self, tmp_path):
+        threads, calls = 6, 40
+        answers = [[] for _ in range(threads)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _serving(tmp_path) as (_, _, client):
+                ids = [
+                    client.submit(_spec(seeds=[seed]))["id"]
+                    for seed in range(1, threads + 1)
+                ]
+
+                def _poll(slot):
+                    for _ in range(calls):
+                        answers[slot].append(client.status(ids[slot])["id"])
+
+                pollers = [
+                    threading.Thread(target=_poll, args=(slot,))
+                    for slot in range(threads)
+                ]
+                for poller in pollers:
+                    poller.start()
+                for poller in pollers:
+                    poller.join(timeout=60)
+                assert not any(poller.is_alive() for poller in pollers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert answers == [[sub_id] * calls for sub_id in ids]
 
     def test_tcp_loopback_transport(self, tmp_path):
         daemon = _daemon(tmp_path)
         server = ServiceServer(daemon, port=0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        client = ServiceClient(port=server.port)
-        for _ in range(100):
-            try:
-                assert client.ping()["protocol"] >= 1
-                break
-            except ServiceError:
-                threading.Event().wait(0.05)
-        submitted = client.submit(_spec())
-        final = client.wait_done(submitted["id"], timeout=300)
-        assert final["state"] == DONE
+        with ServiceClient(port=server.port) as client:
+            for _ in range(100):
+                try:
+                    assert client.ping()["protocol"] >= 1
+                    break
+                except ServiceError:
+                    threading.Event().wait(0.05)
+            submitted = client.submit(_spec())
+            final = client.wait_done(submitted["id"], timeout=300)
+            assert final["state"] == DONE
         server.request_stop()
         daemon.stop(timeout=10)
         thread.join(timeout=10)
 
     def test_typed_errors_cross_the_wire(self, tmp_path):
-        daemon, server, thread, client = self._serve(tmp_path)
-        with pytest.raises(ServiceError) as err:
-            client.status("feedfacedeadbeefcafe0123")
-        assert err.value.code == "unknown-job"
-        with pytest.raises(ServiceError) as err:
-            client.submit({"sweep": {"scale": -1}})
-        assert err.value.code == "bad-request"
-        server.request_stop()
-        daemon.stop(timeout=10)
-        thread.join(timeout=10)
+        with _serving(tmp_path) as (_, _, client):
+            with pytest.raises(ServiceError) as err:
+                client.status("feedfacedeadbeefcafe0123")
+            assert err.value.code == "unknown-job"
+            with pytest.raises(ServiceError) as err:
+                client.submit({"sweep": {"scale": -1}})
+            assert err.value.code == "bad-request"
