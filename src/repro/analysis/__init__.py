@@ -1,4 +1,4 @@
-"""Correctness tooling: simulator sanitizer and repo-specific lint pass.
+"""Correctness tooling: simulator sanitizer and whole-program static verifier.
 
 Two independent halves, both enforcing the model's contracts mechanically
 rather than trusting any single implementation:
@@ -8,29 +8,23 @@ rather than trusting any single implementation:
   per cycle or per epoch, request conservation, timestamp monotonicity,
   MSHR integrity, queue bounds and forward progress.  Violations raise
   :class:`~repro.errors.SanitizerError` with a full diagnostic dump.
-* The lint pass (``repro.analysis.lint``) — AST rules over ``src/`` that
-  keep the simulator deterministic and its failure modes loud (no global
-  RNG or wall-clock reads, no bare ``assert`` for protocol violations, all
-  exceptions under :class:`~repro.errors.ReproError`, hot-path dataclasses
-  slotted, no frozen-config mutation).
-* The whole-program static verifier (``repro.analysis.static``) — extends
-  the lint into cross-file passes: Component wake-hint/hook contracts
-  (REP006-008), determinism hazards (REP009-011) and architecture
-  layering over the import graph (REP012), with inline suppressions, a
-  checked-in baseline and JSON/SARIF output.  Run as
-  ``repro lint --static``.
+* The static verifier (``repro.analysis.static``) — AST passes over a
+  parsed-once module set: per-module hygiene (REP001-005: no global RNG
+  or wall-clock reads, no bare ``assert`` for protocol violations, all
+  exceptions under :class:`~repro.errors.ReproError`, hot-path
+  dataclasses slotted, no frozen-config mutation), Component
+  wake-hint/hook contracts (REP006-008), determinism hazards (REP009-011)
+  and architecture layering over the import graph (REP012), with inline
+  suppressions, a checked-in baseline and JSON/SARIF output.  Run as
+  ``repro lint``.
 """
 
-from repro.analysis.lint import LintViolation, lint_paths, lint_source
 from repro.analysis.sanitizer import Sanitizer
 from repro.analysis.static import Finding, StaticReport, analyze_paths
 
 __all__ = [
     "Finding",
-    "LintViolation",
     "Sanitizer",
     "StaticReport",
     "analyze_paths",
-    "lint_paths",
-    "lint_source",
 ]

@@ -23,7 +23,7 @@ Checked contracts
   requests have all retired is a *leak*: the fill that should have
   released it was lost).
 * **Cycle-accounting conservation** — a component exposing
-  ``inspect_cycle_classes`` partitions its stepped cycles exhaustively:
+  ``class.`` counters partitions its stepped cycles exhaustively:
   the class counts sum exactly to its total cycles, the invariant the
   :mod:`repro.telemetry.attribution` layer is built on.
 """
@@ -31,6 +31,8 @@ Checked contracts
 from __future__ import annotations
 
 from typing import Any
+
+from repro.sim.component import CLASS_PREFIX
 
 
 def queue_bound_violations(queues: Any) -> list[str]:
@@ -122,22 +124,27 @@ def mshr_violations(table: Any) -> list[str]:
 def cycle_accounting_violations(component: Any) -> list[str]:
     """Exact conservation of the cycle-accounting partition.
 
-    A component that implements ``inspect_cycle_classes`` promises that
-    its accounting classes partition its total cycles: every stepped cycle
-    lands in exactly one class, so the class counts sum to ``cycles`` at
-    every cycle boundary.  A shortfall means a cycle escaped
-    classification; an excess means a cycle was double-counted — either
-    way the attribution built on top of the partition would silently lie.
+    A component whose ``counters()`` carry a ``class.`` group promises
+    that its accounting classes partition its total cycles: every stepped
+    cycle lands in exactly one class, so the class counts sum to
+    ``class.cycles`` at every cycle boundary.  A shortfall means a cycle
+    escaped classification; an excess means a cycle was double-counted —
+    either way the attribution built on top of the partition would
+    silently lie.
     """
-    classes = dict(component.inspect_cycle_classes())
+    size = len(CLASS_PREFIX)
+    classes = {
+        name[size:]: count for name, count in component.counters()
+        if name.startswith(CLASS_PREFIX)
+    }
     if not classes:
         return []
     problems: list[str] = []
     total = classes.pop("cycles", None)
     if total is None:
         problems.append(
-            f"{component.name}: inspect_cycle_classes() returned classes "
-            "without the mandatory 'cycles' total"
+            f"{component.name}: counters() carry cycle classes without "
+            "the mandatory 'class.cycles' total"
         )
         return problems
     if any(count < 0 for count in classes.values()):

@@ -5,7 +5,8 @@ A :class:`Sanitizer` registers as an observer on a
 and as the creation listener of the run's
 :class:`~repro.mem.request.RequestFactory`.  At the quiescent point after
 every ``interval``-th cycle it walks the registered components through the
-``inspect_*`` hooks of :class:`~repro.sim.component.Component` and proves:
+``queues`` / ``mshrs`` / ``inflight`` / ``counters`` hooks of
+:class:`~repro.sim.component.Component` and proves:
 
 * **request conservation** — every factory-created request is, at all
   times until it retires, present in exactly the containers the protocol
@@ -21,8 +22,8 @@ every ``interval``-th cycle it walks the registered components through the
   (an entry whose merged requests have all retired).
 * **queue bounds** — occupancy within capacity and consistent with the
   push/pop counters.
-* **cycle-accounting conservation** — any component exposing
-  ``inspect_cycle_classes`` keeps its accounting classes summing exactly
+* **cycle-accounting conservation** — any component whose ``counters``
+  carry a ``class.`` group keeps its accounting classes summing exactly
   to its total stepped cycles (the attribution partition never leaks or
   double-counts a cycle).
 * **forward progress** — while work is in flight, *something* must change
@@ -233,17 +234,17 @@ class Sanitizer:
     def _scan(
         self,
     ) -> tuple[list[Any], list[Any], list[tuple[str, object]]]:
-        """Walk the component list through the ``inspect_*`` hooks."""
+        """Walk the component list through the observation hooks."""
         queues: list[Any] = []
         mshrs: list[Any] = []
         transit: list[tuple[str, object]] = []
         for component in self._sim.components:
-            for queue in component.inspect_queues():
+            for _family, queue in component.queues():
                 queues.append(queue)
                 for request in queue:
                     transit.append((queue.name, request))
-            mshrs.extend(component.inspect_mshrs())
-            for request in component.inspect_inflight():
+            mshrs.extend(table for _family, table in component.mshrs())
+            for request in component.inflight():
                 transit.append((component.name, request))
         return queues, mshrs, transit
 

@@ -1,9 +1,13 @@
 """Whole-program static verifier (REP001-REP012).
 
-Extends the classic per-file AST lint into a multi-pass verifier with
-cross-file resolution, inline suppressions, a checked-in baseline and
-JSON/SARIF reporting.  Pass families:
+A multi-pass verifier over a parsed-once module set, with cross-file
+resolution, inline suppressions, a checked-in baseline and JSON/SARIF
+reporting.  Pass families:
 
+* **Hygiene** (REP001-005, :mod:`repro.analysis.static.hygiene`) — no
+  global RNG or wall-clock reads, no ``assert`` for protocol checks,
+  exceptions under ``ReproError``, slotted hot-path dataclasses, no
+  frozen-config mutation.
 * **Component contracts** (REP006-008,
   :mod:`repro.analysis.static.contracts`) — every
   :class:`~repro.sim.component.Component` subclass honors the wake-hint
@@ -15,8 +19,8 @@ JSON/SARIF reporting.  Pass families:
 * **Layering** (REP012, :mod:`repro.analysis.static.layering`) — the
   module import graph respects the architecture tower and is acyclic.
 
-Entry points: ``repro lint --static`` and ``scripts/lint.py --static``;
-programmatic use via :func:`analyze_paths` / :func:`run_static`.
+Entry point: ``repro lint [paths]``; programmatic use via
+:func:`analyze_paths` / :func:`run_static`.
 """
 
 from repro.analysis.static.baseline import Baseline, BaselineEntry

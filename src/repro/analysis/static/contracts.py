@@ -22,11 +22,10 @@ REP007
     subclass chains even as the base implementation evolves.
 
 REP008
-    Introspection/telemetry hook overrides (``inspect_queues``,
-    ``inspect_mshrs``, ``inspect_inflight``, ``sample_queues``,
-    ``sample_mshrs``, ``sample_counters``, plus ``step``, ``finalize``,
-    ``fast_forward``, ``is_idle``) keep the base-class arity: the
-    sanitizer and telemetry probe call them polymorphically, so an extra
+    Observation hook overrides (``queues``, ``mshrs``, ``inflight``,
+    ``counters``, plus ``step``, ``finalize``, ``fast_forward``,
+    ``is_idle``) keep the base-class arity: the sanitizer and the
+    telemetry probes call them polymorphically, so an extra
     required parameter is a guaranteed runtime ``TypeError`` on an
     opt-in diagnostic path that default test runs never execute.
 """
@@ -43,14 +42,10 @@ COMPONENT_QUALNAME = "repro.sim.component.Component"
 
 #: Hook name -> required parameter names after ``self`` (REP008).
 _HOOK_SIGNATURES: dict[str, tuple[str, ...]] = {
-    "inspect_queues": (),
-    "inspect_mshrs": (),
-    "inspect_inflight": (),
-    "sample_queues": (),
-    "sample_mshrs": (),
-    "sample_counters": (),
-    "sample_stalls": (),
-    "inspect_cycle_classes": (),
+    "queues": (),
+    "mshrs": (),
+    "inflight": (),
+    "counters": (),
     "is_idle": (),
     "step": ("now",),
     "finalize": ("now",),
@@ -184,14 +179,7 @@ def check_contracts(modules: list[ModuleInfo]) -> list[Finding]:
     findings: list[Finding] = []
 
     def flag(module: ModuleInfo, node: ast.AST, rule: str, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        snippet = ""
-        if 1 <= line <= len(module.source_lines):
-            snippet = module.source_lines[line - 1].strip()
-        findings.append(
-            Finding(rule, module.path, line, col, message, snippet)
-        )
+        findings.append(module.finding(node, rule, message))
 
     for module, cls in component_subclasses(modules):
         for item in cls.node.body:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.lint import HOT_PACKAGES
+from repro.analysis.static.hygiene import in_hot_package
 from repro.analysis.static.finding import Finding
 from repro.analysis.static.modgraph import ModuleInfo
 
@@ -99,14 +99,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
     # -- plumbing ------------------------------------------------------
     def _flag(self, node: ast.AST, rule: str, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        snippet = ""
-        if 1 <= line <= len(self.module.source_lines):
-            snippet = self.module.source_lines[line - 1].strip()
-        self.findings.append(
-            Finding(rule, self.module.path, line, col, message, snippet)
-        )
+        self.findings.append(self.module.finding(node, rule, message))
 
     def _is_set_expr(self, node: ast.expr) -> bool:
         if isinstance(node, (ast.Set, ast.SetComp)):
@@ -287,10 +280,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
 def check_determinism(module: ModuleInfo) -> list[Finding]:
     """Run REP009-REP011 over one parsed module."""
-    from pathlib import Path
-
-    parts = Path(module.path).parts
-    hot = "repro" in parts and any(pkg in parts for pkg in HOT_PACKAGES)
-    visitor = _DeterminismVisitor(module, hot)
+    visitor = _DeterminismVisitor(module, in_hot_package(module))
     visitor.visit(module.tree)
     return visitor.findings

@@ -31,9 +31,8 @@ class Rule:
     severity: str = "error"
 
 
-#: Every rule the verifier can emit, classic AST lint included (the static
-#: runner wraps REP001-005 so one invocation covers the whole contract
-#: surface with one baseline and one SARIF report).
+#: Every rule the verifier can emit; one invocation covers the whole
+#: contract surface with one baseline and one SARIF report.
 RULES: dict[str, Rule] = {
     rule.code: rule
     for rule in (
@@ -53,8 +52,8 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             "REP008",
-            "Component inspect_*/sample_* hook overrides match the base "
-            "class signatures",
+            "Component observation and stepping hook overrides match the "
+            "base class signatures",
         ),
         Rule(
             "REP009",

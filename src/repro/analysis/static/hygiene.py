@@ -1,10 +1,10 @@
-"""Repo-specific static lint rules for the simulator source tree.
+"""REP001-REP005: per-module hygiene rules.
 
 The simulator's credibility rests on properties no general-purpose linter
 checks: determinism (same seed, same run), loud protocol failures (no
 check that vanishes under ``python -O``), a single catchable exception
 hierarchy, and memory-lean hot-path objects.  Each rule below encodes one
-of those contracts as an AST pass:
+of those contracts as a walk over the module's parsed tree:
 
 ========  ==============================================================
 code      contract
@@ -33,13 +33,6 @@ REP005    no attribute assignment through a config object: the
           ever unfrozen.  Use ``dataclasses.replace``.
 ========  ==============================================================
 
-A violating line can opt out with a ``# noqa: REPxxx`` comment (bare
-``# noqa`` suppresses every rule on the line; the static verifier's
-``# repro: noqa[REPxxx]`` spelling is honoured too).  The
-:func:`lint_paths` entry point is wired to ``scripts/lint.py`` and the
-``repro lint`` CLI subcommand; CI runs it over ``src/``, ``tests/`` and
-``scripts/`` on every push.
-
 Path profiles: files under a ``tests`` directory are exempt from REP002 —
 ``assert`` is pytest's assertion mechanism (and pytest rewrites it, so
 ``python -O`` stripping is not a concern there); every other rule still
@@ -50,14 +43,15 @@ from __future__ import annotations
 
 import ast
 import builtins
-from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro import errors as _errors
-from repro.errors import ReproError, UsageError
+from repro.analysis.static.finding import Finding
+from repro.analysis.static.modgraph import ModuleInfo, dotted_name
+from repro.errors import ReproError
 
-#: Packages whose dataclasses must declare slots (REP004).
+#: Packages whose dataclasses must declare slots (REP004) and whose float
+#: reductions must be order-stable (REP011).
 HOT_PACKAGES = ("mem", "cache", "dram", "icnt", "cores")
 
 #: Module-level ``random`` attributes that are allowed (seeded generators).
@@ -99,6 +93,17 @@ _RAISE_ALLOWED_EXTRA = {"NotImplementedError"}
 #: Variable names through which code reaches a (frozen) config object.
 _CONFIG_NAMES = {"config", "cfg", "_config"}
 
+_CONFIG_STORE = (
+    "attribute assignment through a config object; configs are frozen — "
+    "build a new one with dataclasses.replace"
+)
+
+
+def in_hot_package(module: ModuleInfo) -> bool:
+    """Whether ``module`` lives in one of the :data:`HOT_PACKAGES`."""
+    parts = (module.name or "").split(".")
+    return len(parts) > 1 and parts[1] in HOT_PACKAGES
+
 
 def _repro_error_names() -> frozenset[str]:
     """Names of every ReproError subclass defined in :mod:`repro.errors`."""
@@ -109,75 +114,18 @@ def _repro_error_names() -> frozenset[str]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class LintViolation:
-    """One rule violation at one source location."""
-
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def render(self) -> str:
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-
-class _Visitor(ast.NodeVisitor):
-    def __init__(
-        self,
-        path: str,
-        source_lines: list[str],
-        hot: bool,
-        exempt: frozenset[str] = frozenset(),
-    ) -> None:
-        self.path = path
-        self.lines = source_lines
-        self.hot = hot
-        self.exempt = exempt
-        self.violations: list[LintViolation] = []
+class _HygieneVisitor(ast.NodeVisitor):
+    def __init__(self, module: ModuleInfo) -> None:
+        self.module = module
+        self.check_asserts = "tests" not in Path(module.path).parts
+        self.findings: list[Finding] = []
         #: Names bound by ``from random import X``.
         self.random_names: set[str] = set()
         #: Local classes whose bases resolve into the ReproError tree.
         self.allowed_raises = set(_repro_error_names()) | _RAISE_ALLOWED_EXTRA
 
-    # -- helpers -------------------------------------------------------
-    def _suppressed(self, line: int, code: str) -> bool:
-        if not 1 <= line <= len(self.lines):
-            return False
-        text = self.lines[line - 1]
-        if "noqa" not in text:
-            return False
-        _, _, tail = text.partition("noqa")
-        # Accept both spellings: ``# noqa: REP001`` and the static
-        # verifier's ``# repro: noqa[REP001,REP009]``.
-        tail = tail.lstrip(": ").strip()
-        codes = [
-            token
-            for token in tail.replace(",", " ").replace("[", " ")
-            .replace("]", " ").split()
-            if token
-        ]
-        return not codes or code in codes
-
-    def _flag(self, node: ast.AST, code: str, message: str) -> None:
-        if code in self.exempt or self._suppressed(node.lineno, code):
-            return
-        self.violations.append(
-            LintViolation(self.path, node.lineno, node.col_offset, code, message)
-        )
-
-    @staticmethod
-    def _dotted(node: ast.AST) -> str | None:
-        """Render a Name/Attribute chain as ``a.b.c`` (None if dynamic)."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(node.id)
-        return ".".join(reversed(parts))
+    def _flag(self, node: ast.AST, rule: str, message: str) -> None:
+        self.findings.append(self.module.finding(node, rule, message))
 
     # -- imports (REP001 support) --------------------------------------
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -189,7 +137,7 @@ class _Visitor(ast.NodeVisitor):
 
     # -- REP001: nondeterminism ----------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self._dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             head, _, tail = dotted.partition(".")
             if head == "random" and tail and tail not in _RANDOM_ALLOWED:
@@ -214,18 +162,19 @@ class _Visitor(ast.NodeVisitor):
 
     # -- REP002: bare assert -------------------------------------------
     def visit_Assert(self, node: ast.Assert) -> None:
-        self._flag(
-            node, "REP002",
-            "assert vanishes under python -O; raise SimulationError (or "
-            "another ReproError) for protocol violations",
-        )
+        if self.check_asserts:
+            self._flag(
+                node, "REP002",
+                "assert vanishes under python -O; raise SimulationError (or "
+                "another ReproError) for protocol violations",
+            )
         self.generic_visit(node)
 
     # -- REP003: exception hierarchy -----------------------------------
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         base_names = {
             name for base in node.bases
-            if (name := self._dotted(base)) is not None
+            if (name := dotted_name(base)) is not None
         }
         if any(
             name.rpartition(".")[2] in self.allowed_raises
@@ -238,7 +187,7 @@ class _Visitor(ast.NodeVisitor):
         exc = node.exc
         if isinstance(exc, ast.Call):
             exc = exc.func
-        name = self._dotted(exc) if exc is not None else None
+        name = dotted_name(exc) if exc is not None else None
         if name is not None:
             short = name.rpartition(".")[2]
             if short not in self.allowed_raises:
@@ -252,29 +201,23 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     # -- REP004: hot-path dataclass slots ------------------------------
-    def _dataclass_decorator(self, node: ast.ClassDef) -> ast.expr | None:
+    def check_dataclass_slots(self, node: ast.ClassDef) -> None:
         for decorator in node.decorator_list:
             target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            dotted = self._dotted(target)
-            if dotted in ("dataclass", "dataclasses.dataclass"):
-                return decorator
-        return None
-
-    def _check_dataclass_slots(self, node: ast.ClassDef) -> None:
-        decorator = self._dataclass_decorator(node)
-        if decorator is None:
+            if dotted_name(target) not in ("dataclass", "dataclasses.dataclass"):
+                continue
+            if isinstance(decorator, ast.Call) and any(
+                keyword.arg == "slots"
+                and isinstance(keyword.value, ast.Constant)
+                and keyword.value.value is True
+                for keyword in decorator.keywords
+            ):
+                return
+            self._flag(
+                node, "REP004",
+                f"hot-path dataclass {node.name} must declare slots=True",
+            )
             return
-        if isinstance(decorator, ast.Call):
-            for keyword in decorator.keywords:
-                if keyword.arg == "slots" and (
-                    isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is True
-                ):
-                    return
-        self._flag(
-            node, "REP004",
-            f"hot-path dataclass {node.name} must declare slots=True",
-        )
 
     # -- REP005: frozen-config mutation --------------------------------
     def _check_config_store(self, target: ast.AST) -> None:
@@ -285,19 +228,11 @@ class _Visitor(ast.NodeVisitor):
         node = target.value
         while isinstance(node, ast.Attribute):
             if node.attr in _CONFIG_NAMES:
-                self._flag(
-                    target, "REP005",
-                    "attribute assignment through a config object; configs "
-                    "are frozen — build a new one with dataclasses.replace",
-                )
+                self._flag(target, "REP005", _CONFIG_STORE)
                 return
             node = node.value
         if isinstance(node, ast.Name) and node.id in _CONFIG_NAMES:
-            self._flag(
-                target, "REP005",
-                "attribute assignment through a config object; configs "
-                "are frozen — build a new one with dataclasses.replace",
-            )
+            self._flag(target, "REP005", _CONFIG_STORE)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
@@ -309,72 +244,12 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def exempt_rules_for(path: str) -> frozenset[str]:
-    """Rules that do not apply to ``path`` (path-profile exemptions).
-
-    Test code gets a pass on REP002: ``assert`` is pytest's assertion
-    idiom and pytest's rewriting keeps it active regardless of ``-O``.
-    """
-    if "tests" in Path(path).parts:
-        return frozenset(("REP002",))
-    return frozenset()
-
-
-def lint_source(
-    source: str, path: str = "<string>", *, hot: bool | None = None
-) -> list[LintViolation]:
-    """Lint one module's source text; returns violations in line order."""
-    parts = Path(path).parts
-    if hot is None:
-        hot = any(package in parts for package in HOT_PACKAGES) and (
-            "repro" in parts
-        )
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        raise UsageError(f"{path}: cannot lint, syntax error: {exc}") from exc
-    visitor = _Visitor(path, source.splitlines(), hot, exempt_rules_for(path))
-    visitor.visit(tree)
-    if hot:
-        for node in ast.walk(tree):
+def check_hygiene(module: ModuleInfo) -> list[Finding]:
+    """Run REP001-REP005 over one parsed module."""
+    visitor = _HygieneVisitor(module)
+    visitor.visit(module.tree)
+    if in_hot_package(module):
+        for node in ast.walk(module.tree):
             if isinstance(node, ast.ClassDef):
-                visitor._check_dataclass_slots(node)
-    return sorted(visitor.violations, key=lambda v: (v.line, v.col, v.code))
-
-
-def _iter_python_files(paths: list[str]) -> Iterator[Path]:
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            yield from sorted(
-                p for p in path.rglob("*.py")
-                if "__pycache__" not in p.parts
-                and not any(part.endswith(".egg-info") for part in p.parts)
-            )
-        elif path.suffix == ".py":
-            yield path
-        else:
-            raise UsageError(f"{raw}: not a python file or directory")
-
-
-def lint_paths(paths: list[str]) -> list[LintViolation]:
-    """Lint every python file under ``paths`` (files or directories)."""
-    violations: list[LintViolation] = []
-    for path in _iter_python_files(paths):
-        violations.extend(
-            lint_source(path.read_text(encoding="utf-8"), str(path))
-        )
-    return violations
-
-
-def run_lint(paths: list[str]) -> int:
-    """CLI body: print violations, return a process exit code."""
-    if not paths:
-        paths = ["src"]
-    violations = lint_paths(paths)
-    for violation in violations:
-        print(violation.render())
-    if violations:
-        print(f"{len(violations)} violation(s)")
-        return 1
-    return 0
+                visitor.check_dataclass_slots(node)
+    return visitor.findings

@@ -24,6 +24,7 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.analysis.static.finding import Finding
 from repro.errors import UsageError
 
 
@@ -69,6 +70,15 @@ class ModuleInfo:
     classes: list[ClassInfo] = field(default_factory=list)
     #: local name -> fully-qualified dotted name, from import statements.
     aliases: dict[str, str] = field(default_factory=dict)
+
+    def finding(self, node: ast.AST, rule: str, message: str) -> Finding:
+        """A ``rule`` finding at ``node``, snippet taken from its line."""
+        line = getattr(node, "lineno", 1)
+        col = getattr(node, "col_offset", 0)
+        snippet = ""
+        if 1 <= line <= len(self.source_lines):
+            snippet = self.source_lines[line - 1].strip()
+        return Finding(rule, self.path, line, col, message, snippet)
 
 
 def module_name_for(path: str) -> str | None:
@@ -193,7 +203,7 @@ class _ModuleScanner:
     def _record_class(self, node: ast.ClassDef) -> None:
         bases: list[str] = []
         for base in node.bases:
-            dotted = _dotted_name(base)
+            dotted = dotted_name(base)
             if dotted is None:
                 continue
             bases.append(self._qualify(dotted))
@@ -216,7 +226,8 @@ class _ModuleScanner:
         return f"{resolved}.{tail}" if tail else resolved
 
 
-def _dotted_name(node: ast.expr) -> str | None:
+def dotted_name(node: ast.expr) -> str | None:
+    """Render a Name/Attribute chain as ``a.b.c`` (None if dynamic)."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -227,18 +238,17 @@ def _dotted_name(node: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
-def parse_module(path: Path) -> ModuleInfo:
-    """Parse one file into a :class:`ModuleInfo` (raises UsageError on bad syntax)."""
-    source = path.read_text(encoding="utf-8")
+def parse_source(source: str, path: str) -> ModuleInfo:
+    """Parse one module's text (raises UsageError on bad syntax)."""
     try:
-        tree = ast.parse(source, filename=str(path))
+        tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         raise UsageError(
             f"{path}: cannot analyze, syntax error: {exc}"
         ) from exc
     info = ModuleInfo(
-        path=str(path),
-        name=module_name_for(str(path)),
+        path=path,
+        name=module_name_for(path),
         tree=tree,
         source_lines=source.splitlines(),
     )
@@ -248,4 +258,7 @@ def parse_module(path: Path) -> ModuleInfo:
 
 def build_modules(files: list[Path]) -> list[ModuleInfo]:
     """Parse every file once, in deterministic path order."""
-    return [parse_module(path) for path in sorted(files)]
+    return [
+        parse_source(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(files)
+    ]

@@ -2,20 +2,15 @@
 
 One invocation parses every target file once, then runs:
 
-1. the classic per-file AST rules (REP001-005, via
-   :func:`repro.analysis.lint.lint_source`) — wrapped into
-   :class:`~repro.analysis.static.finding.Finding` objects so one
-   baseline, one SARIF log and one exit code cover the whole surface;
+1. the hygiene rules (REP001-005) per module;
 2. the component-contract checker (REP006-008) over every Component
    subclass resolved through the import graph;
 3. the determinism pass (REP009-011) per module;
 4. the architecture-layering pass (REP012) over the module graph.
 
-Inline suppressions (``# repro: noqa[REPxxx]``) are honoured for the
-whole-program rules; the classic rules keep applying their own ``noqa``
-handling inside ``lint_source`` (which also understands the bracketed
-spelling).  Findings surviving suppression are then partitioned against
-the baseline; only *active* findings fail the run.
+Inline suppressions (``# repro: noqa[REPxxx]`` or ``# noqa: REPxxx``)
+then drop findings on their line, and the survivors are partitioned
+against the baseline; only *active* findings fail the run.
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.lint import lint_source
 from repro.analysis.static.baseline import (
     Baseline,
     BaselineEntry,
@@ -33,6 +27,7 @@ from repro.analysis.static.baseline import (
 from repro.analysis.static.contracts import check_contracts
 from repro.analysis.static.determinism import check_determinism
 from repro.analysis.static.finding import Finding
+from repro.analysis.static.hygiene import check_hygiene
 from repro.analysis.static.layering import check_layering
 from repro.analysis.static.modgraph import ModuleInfo, build_modules
 from repro.analysis.static.output import render_json, render_sarif, render_text
@@ -63,6 +58,7 @@ class StaticReport:
 
 
 def _collect_files(paths: list[str]) -> list[Path]:
+    """Python files under ``paths``; a walk skips ``fixtures`` below its root."""
     files: list[Path] = []
     for raw in paths:
         path = Path(raw)
@@ -70,8 +66,7 @@ def _collect_files(paths: list[str]) -> list[Path]:
             files.extend(
                 p
                 for p in sorted(path.rglob("*.py"))
-                if "__pycache__" not in p.parts
-                and not any(part.endswith(".egg-info") for part in p.parts)
+                if not _skipped(p.relative_to(path).parts)
             )
         elif path.suffix == ".py":
             files.append(path)
@@ -80,47 +75,37 @@ def _collect_files(paths: list[str]) -> list[Path]:
     return files
 
 
-def _classic_findings(module: ModuleInfo) -> list[Finding]:
-    source = "\n".join(module.source_lines)
-    return [
-        Finding(
-            rule=violation.code,
-            path=module.path,
-            line=violation.line,
-            col=violation.col,
-            message=violation.message,
-            snippet=(
-                module.source_lines[violation.line - 1].strip()
-                if 1 <= violation.line <= len(module.source_lines)
-                else ""
-            ),
-        )
-        for violation in lint_source(source, module.path)
-    ]
+def _skipped(parts: tuple[str, ...]) -> bool:
+    return any(
+        part in ("__pycache__", "fixtures") or part.endswith(".egg-info")
+        for part in parts
+    )
 
 
 def analyze_paths(
     paths: list[str], *, baseline: Baseline | None = None
 ) -> StaticReport:
     """Run every pass over ``paths`` and partition against ``baseline``."""
-    modules = build_modules(_collect_files(paths))
+    return analyze_modules(build_modules(_collect_files(paths)), baseline)
+
+
+def analyze_modules(
+    modules: list[ModuleInfo], baseline: Baseline | None = None
+) -> StaticReport:
+    """Run every pass over parsed ``modules``; see :func:`analyze_paths`."""
     raw: list[Finding] = []
     for module in modules:
-        raw.extend(_classic_findings(module))
+        raw.extend(check_hygiene(module))
         raw.extend(check_determinism(module))
     raw.extend(check_contracts(modules))
     raw.extend(check_layering(modules))
 
-    # Inline suppressions for the whole-program rules (classic rules are
-    # already filtered inside lint_source).
     lines_by_path = {m.path: m.source_lines for m in modules}
     kept: list[Finding] = []
     suppressed = 0
     for finding in raw:
         source_lines = lines_by_path.get(finding.path, [])
-        if finding.rule > "REP005" and is_suppressed(
-            source_lines, finding.line, finding.rule
-        ):
+        if is_suppressed(source_lines, finding.line, finding.rule):
             suppressed += 1
             continue
         kept.append(finding)
@@ -142,7 +127,7 @@ def run_static(
     update_baseline: bool = False,
     no_baseline: bool = False,
 ) -> int:
-    """CLI body for ``repro lint --static``; returns the process exit code."""
+    """CLI body for ``repro lint``; returns the process exit code."""
     if not paths:
         paths = ["src"]
     baseline = Baseline.empty() if no_baseline else load_default(baseline_path)

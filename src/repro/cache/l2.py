@@ -360,35 +360,26 @@ class L2Slice(Component):
         self.mshr.finalize(now)
 
     # ------------------------------------------------------------------
-    # sanitizer introspection
+    # observation
     # ------------------------------------------------------------------
-    def inspect_queues(self):
-        return (self.access_queue, self.miss_queue, self.response_queue)
-
-    def inspect_mshrs(self):
-        return (self.mshr,)
-
-    # ------------------------------------------------------------------
-    # telemetry sampling
-    # ------------------------------------------------------------------
-    def sample_queues(self):
+    def queues(self):
         return (
             ("l2_accessq", self.access_queue),
             ("l2_missq", self.miss_queue),
             ("l2_respq", self.response_queue),
         )
 
-    def sample_mshrs(self):
+    def mshrs(self):
         return (("l2_mshr", self.mshr),)
 
-    def sample_counters(self):
+    def counters(self):
         return (
             ("l2_fills", self.fills),
             ("l2_writebacks", self.writebacks),
             ("l2_port_busy_cycles", self.port_busy_cycles),
         )
 
-    def inspect_inflight(self):
+    def inflight(self):
         for bank in self.banks:
             yield from bank.pipe
             if bank.output is not None:

@@ -80,10 +80,11 @@ code 2 instead of a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.core.bottleneck import diagnose_suite, render_diagnoses
 from repro.core.congestion import measure_congestion
@@ -180,11 +181,15 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
              "runs (stdout output is unaffected)")
 
 
-def _make_runner(args: argparse.Namespace) -> BatchRunner:
+@contextlib.contextmanager
+def _make_runner(args: argparse.Namespace) -> Iterator[BatchRunner]:
+    """A batch runner for the command; its ``--events`` log closes on exit."""
     cache = None if args.no_cache else ResultCache(args.cache_dir)
-    events = EventLog(args.events) if args.events else None
-    return BatchRunner(
-        jobs=args.jobs, cache=cache, events=events, progress=args.progress)
+    log = EventLog(args.events) if args.events else contextlib.nullcontext()
+    with log as events:
+        yield BatchRunner(
+            jobs=args.jobs, cache=cache, events=events,
+            progress=args.progress)
 
 
 def _note_batch(runner: BatchRunner, *metrics_groups) -> None:
@@ -274,11 +279,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             profiler.disable()
             _report_sim_profile(profiler, args)
     else:
-        runner = _make_runner(args)
-        [metrics] = runner.run([
-            Job(config, args.benchmark, seed=args.seed,
-                iteration_scale=args.scale)
-        ])
+        with _make_runner(args) as runner:
+            [metrics] = runner.run([
+                Job(config, args.benchmark, seed=args.seed,
+                    iteration_scale=args.scale)
+            ])
         _note_batch(runner, [metrics])
     rows = [
         ["cycles", metrics.cycles],
@@ -382,27 +387,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    if args.static or args.update_baseline:
-        from repro.analysis.static import run_static
+    from repro.analysis.static import run_static
 
-        return run_static(
-            args.paths,
-            fmt=args.format,
-            output=args.output,
-            baseline_path=args.baseline,
-            update_baseline=args.update_baseline,
-            no_baseline=args.no_baseline,
-        )
-    from repro.analysis.lint import run_lint
-
-    return run_lint(args.paths)
+    return run_static(
+        args.paths,
+        fmt=args.format,
+        output=args.output,
+        baseline_path=args.baseline,
+        update_baseline=args.update_baseline,
+        no_baseline=args.no_baseline,
+    )
 
 
 def _cmd_congestion(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
-    report = measure_congestion(
-        _config(args), benchmarks=args.benchmarks,
-        iteration_scale=args.scale, seed=args.seed, runner=runner)
+    with _make_runner(args) as runner:
+        report = measure_congestion(
+            _config(args), benchmarks=args.benchmarks,
+            iteration_scale=args.scale, seed=args.seed, runner=runner)
     print(render_congestion(report))
     _note_batch(runner, report.runs.values())
     return 0
@@ -410,14 +411,14 @@ def _cmd_congestion(args: argparse.Namespace) -> int:
 
 def _cmd_latency_profile(args: argparse.Namespace) -> int:
     config = _config(args)
-    runner = _make_runner(args)
     latencies = args.latencies or list(range(0, 801, args.step))
-    profiles = [
-        profile_latency_tolerance(
-            name, config, latencies=latencies,
-            iteration_scale=args.scale, seed=args.seed, runner=runner)
-        for name in args.benchmarks
-    ]
+    with _make_runner(args) as runner:
+        profiles = [
+            profile_latency_tolerance(
+                name, config, latencies=latencies,
+                iteration_scale=args.scale, seed=args.seed, runner=runner)
+            for name in args.benchmarks
+        ]
     print(render_figure1(profiles))
     _note_batch(
         runner,
@@ -428,10 +429,10 @@ def _cmd_latency_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
-    result = explore_design_space(
-        _config(args), benchmarks=args.benchmarks,
-        iteration_scale=args.scale, seed=args.seed, runner=runner)
+    with _make_runner(args) as runner:
+        result = explore_design_space(
+            _config(args), benchmarks=args.benchmarks,
+            iteration_scale=args.scale, seed=args.seed, runner=runner)
     print(render_section_iv(result, analyze_synergy(result)))
     _note_batch(
         runner, [m for per in result.runs.values() for m in per.values()])
@@ -464,10 +465,10 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_replicate(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
-    report = replicate(
-        _config(args), args.benchmark, seeds=tuple(args.seeds),
-        iteration_scale=args.scale, runner=runner)
+    with _make_runner(args) as runner:
+        report = replicate(
+            _config(args), args.benchmark, seeds=tuple(args.seeds),
+            iteration_scale=args.scale, runner=runner)
     print(report.to_table())
     print(f"\nworst coefficient of variation: {report.worst_cv():.1%}")
     _note_batch(runner)
@@ -476,11 +477,11 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     config = _config(args)
-    runner = _make_runner(args)
-    runs = runner.run([
-        Job(config, name, seed=args.seed, iteration_scale=args.scale)
-        for name in args.benchmarks
-    ])
+    with _make_runner(args) as runner:
+        runs = runner.run([
+            Job(config, name, seed=args.seed, iteration_scale=args.scale)
+            for name in args.benchmarks
+        ])
     path = export_runs(runs, args.output, args.format)
     print(f"wrote {len(runs)} runs to {path} ({args.format})")
     _note_batch(runner, runs)
@@ -819,26 +820,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repo's custom lint rules (REP001-005), or the "
-             "whole-program static verifier with --static (REP001-012)")
+        help="run the whole-program static verifier (REP001-012): "
+             "hygiene rules, component contracts, determinism and "
+             "layering")
     lint.add_argument(
         "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)")
-    lint.add_argument(
-        "--static", action="store_true",
-        help="run the whole-program verifier: component contracts "
-             "(REP006-008), determinism (REP009-011) and layering "
-             "(REP012) on top of the classic rules, with baseline and "
-             "SARIF support")
+        help="files or directories to lint (default: src); a directory "
+             "walk skips fixtures directories below it")
     lint.add_argument(
         "--format", choices=["text", "json", "sarif"], default="text",
-        help="report format for --static (default: text)")
+        help="report format (default: text)")
     lint.add_argument(
         "--output", default=None, metavar="PATH",
-        help="write the --static report to a file instead of stdout")
+        help="write the report to a file instead of stdout")
     lint.add_argument(
         "--baseline", default=None, metavar="PATH",
-        help="baseline file for --static (default: "
+        help="baseline file (default: "
              ".repro-static-baseline.json in the working directory, "
              "if present)")
     lint.add_argument(

@@ -23,7 +23,12 @@ from repro.cache.l1 import AccessResult, L1DCache
 from repro.cores.scheduler import LRRScheduler, make_warp_scheduler
 from repro.cores.warp import LoadInstr, Warp, WarpState
 from repro.mem.request import AccessKind, MemoryRequest, RequestFactory
-from repro.sim.component import WAKE_NEVER, Component
+from repro.sim.component import (
+    CLASS_PREFIX,
+    STALL_PREFIX,
+    WAKE_NEVER,
+    Component,
+)
 from repro.sim.config import GPUConfig
 
 #: Outcomes of one issue attempt.
@@ -98,7 +103,7 @@ class SM(Component):
         #: Cycles stepped after the SM quiesced (kernel drained here while
         #: other SMs still run).  Together with the three counters above
         #: this partitions ``cycles`` exactly — the conservation invariant
-        #: behind :meth:`inspect_cycle_classes`.
+        #: behind the ``class.`` group of :meth:`counters`.
         self.drained_cycles = 0
         #: Fast-path flag: all warps retired and all queues drained.
         self._quiesced = False
@@ -632,48 +637,29 @@ class SM(Component):
         self.l1.finalize(now)
 
     # ------------------------------------------------------------------
-    # sanitizer introspection
+    # observation
     # ------------------------------------------------------------------
-    def inspect_queues(self):
-        return (self.l1.miss_queue,)
+    def queues(self):
+        return (("l1_missq", self.l1.miss_queue),)
 
-    def inspect_mshrs(self):
-        return (self.l1.mshr,)
+    def mshrs(self):
+        return (("l1_mshr", self.l1.mshr),)
 
-    def inspect_inflight(self):
+    def inflight(self):
         yield from self._ldst_queue
         yield from self.l1.inflight_requests()
 
-    # ------------------------------------------------------------------
-    # telemetry sampling
-    # ------------------------------------------------------------------
-    def sample_queues(self):
-        return (("l1_missq", self.l1.miss_queue),)
-
-    def sample_mshrs(self):
-        return (("l1_mshr", self.l1.mshr),)
-
-    def sample_counters(self):
-        return (
-            ("instructions", self.instructions),
-            ("mem_pipeline_stall_cycles", self.mem_pipeline_stall_cycles),
-            ("l1_misses_issued", self.l1.misses_issued),
-        )
-
-    def sample_stalls(self):
-        return tuple(
-            (cause.value, cycles)
-            for cause, cycles in self.stall_cycles_by_cause.items()
-        )
-
-    def inspect_cycle_classes(self):
-        return {
-            "cycles": self.cycles,
-            "issue": self.issue_cycles,
-            "issue_starved": self.issue_starved_cycles,
-            "no_ready_warp": self.no_ready_warp_cycles,
-            "drained": self.drained_cycles,
-        }
+    def counters(self):
+        yield "instructions", self.instructions
+        yield "mem_pipeline_stall_cycles", self.mem_pipeline_stall_cycles
+        yield "l1_misses_issued", self.l1.misses_issued
+        for cause, cycles in self.stall_cycles_by_cause.items():
+            yield STALL_PREFIX + cause.value, cycles
+        yield CLASS_PREFIX + "cycles", self.cycles
+        yield CLASS_PREFIX + "issue", self.issue_cycles
+        yield CLASS_PREFIX + "issue_starved", self.issue_starved_cycles
+        yield CLASS_PREFIX + "no_ready_warp", self.no_ready_warp_cycles
+        yield CLASS_PREFIX + "drained", self.drained_cycles
 
     @property
     def ipc(self) -> float:

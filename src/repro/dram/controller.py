@@ -288,24 +288,18 @@ class DRAMChannel(Component):
         self.return_queue.finalize(now)
 
     # ------------------------------------------------------------------
-    # sanitizer introspection
+    # observation
     # ------------------------------------------------------------------
-    def inspect_queues(self):
-        return (self.sched_queue, self.return_queue)
-
-    def inspect_inflight(self):
-        yield from self._completions
-
-    # ------------------------------------------------------------------
-    # telemetry sampling
-    # ------------------------------------------------------------------
-    def sample_queues(self):
+    def queues(self):
         return (
             ("dram_schedq", self.sched_queue),
             ("dram_returnq", self.return_queue),
         )
 
-    def sample_counters(self):
+    def inflight(self):
+        yield from self._completions
+
+    def counters(self):
         return (
             ("dram_bus_busy_cycles", self.bus_busy_cycles),
             ("dram_reads", self.reads),

@@ -206,12 +206,12 @@ class Crossbar(Component):
     def is_idle(self) -> bool:
         return all(not port.fifo for port in self._inputs)
 
-    def inspect_inflight(self):
+    def inflight(self):
         for port in self._inputs:
             for packet in port.fifo:
                 yield packet.request
 
-    def sample_counters(self):
+    def counters(self):
         return (
             (f"{self.name}_flits_sent", self.flits_sent),
             (f"{self.name}_packets_delivered", self.packets_delivered),

@@ -184,13 +184,13 @@ class RingNetwork(Component):
             not buffer for buffer in self._arrivals
         )
 
-    def inspect_inflight(self):
+    def inflight(self):
         for request, _ in self._in_flight:
             yield request
         for buffer in self._arrivals:
             yield from buffer
 
-    def sample_counters(self):
+    def counters(self):
         return (
             (f"{self.name}_packets_delivered", self.packets_delivered),
             (f"{self.name}_total_hops", self.total_hops),

@@ -625,9 +625,9 @@ class CampaignWorker:
                 executed=report.executed, failed=report.failed,
                 rounds=report.rounds,
             )
-            self.events.close()
         finally:
             self._release_held()
+            self.events.close()
             if installed_term:
                 signal.signal(signal.SIGTERM, previous_term)
         return report

@@ -24,13 +24,14 @@ Design points, in the order they matter:
 * **Bounded registry.**  The daemon remembers at most
   :data:`FINISHED_KEPT` finished submissions and forgets the least
   recently finished first, so its memory does not grow with the work it
-  has served.  Queued and running submissions are never forgotten.  Ids
+  has served; a forgotten submission's event log is deleted too.  Queued and running submissions are never forgotten.  Ids
   are content-addressed, so a resubmit of a forgotten sweep finishes at
   submit under the same id.
 * **Backpressure.**  The submission queue is bounded
   (``queue_depth``); a submit that would overflow it is rejected with
   the typed ``queue-full`` error rather than queued into unbounded
-  memory.  Clients back off and retry — the daemon never does silent
+  memory.  An all-stored submission takes no queue slot, so a full
+  queue never refuses it.  Clients back off and retry — the daemon never does silent
   load shedding.
 * **Worker pool.**  ``workers`` daemon threads drain the queue; each
   executes its submission through a :class:`~repro.runner.BatchRunner`
@@ -270,7 +271,7 @@ class ReproDaemon:
                 raise ServiceError(
                     "draining", "daemon is draining; not accepting submissions"
                 )
-            if len(self._queue) >= self.queue_depth:
+            if not stored and len(self._queue) >= self.queue_depth:
                 raise ServiceError(
                     "queue-full",
                     f"submission queue is full ({self.queue_depth} deep); "
@@ -468,13 +469,17 @@ class ReproDaemon:
         Only finished ids are ever forgotten, so a queued or running
         submission stays reachable however many finish around it.  A
         re-attempt takes its id out of ``_finished`` first, so each
-        finish lands last.
+        finish lands last.  A forgotten id's event log goes with it, so
+        the events directory stays bounded and a resubmit starts a fresh
+        log.
         """
         self._finished[submission.id] = None
         while len(self._finished) > FINISHED_KEPT:
             oldest = next(iter(self._finished))
             del self._finished[oldest]
-            del self._submissions[oldest]
+            forgotten = self._submissions.pop(oldest)
+            if forgotten.events_path is not None:
+                forgotten.events_path.unlink(missing_ok=True)
 
     def _chunks(self, submission: Submission) -> list[list[Job]]:
         """Cancel-granularity slices of the submission's unique jobs.

@@ -11,28 +11,29 @@ Components also expose :meth:`finalize` (close open statistics intervals)
 and :meth:`is_idle` (used by the engine to detect global quiescence and by
 tests to assert drained state).
 
-Introspection
--------------
-The ``inspect_*`` hooks let the :mod:`repro.analysis` sanitizer enumerate a
-component's bookkeeping without knowing its concrete type: every bounded
-queue (:meth:`inspect_queues`), every MSHR table (:meth:`inspect_mshrs`)
-and every request currently travelling through the component's private
-buffers (:meth:`inspect_inflight` — pipeline registers, crossbar FIFOs,
-pending-response lists; *not* MSHR residence, which the sanitizer reads
-from the tables themselves).  The defaults return empty iterables so plain
-components need not care.
+Observation
+-----------
+Four hooks let observers — the :mod:`repro.analysis` sanitizer, the
+:mod:`repro.telemetry` probes and ``repro profile`` — read a component's
+bookkeeping without knowing its concrete type:
 
-Telemetry
----------
-The ``sample_*`` hooks are the same idea for the :mod:`repro.telemetry`
-time-series probe, but labelled: each yields ``(label, thing)`` pairs
-where the label names the *family* the instrument belongs to
-(``"l2_accessq"``, ``"l1_mshr"``, ``"instructions"``), so the probe can
-aggregate the instances living on different components into one
-per-window series.  ``sample_counters`` yields *cumulative monotone*
-counters; the probe reports their per-window deltas.  The defaults return
-empty iterables, so — like the sanitizer — telemetry is strictly opt-in
-and free when no probe is attached.
+* :meth:`Component.queues` and :meth:`Component.mshrs` yield
+  ``(family, object)`` pairs for every bounded queue and MSHR table owned
+  here.  The family label (``"l2_accessq"``, ``"l1_mshr"``) lets the
+  telemetry probe aggregate the instances living on different components
+  into one per-window series; the sanitizer ignores it.
+* :meth:`Component.inflight` yields every request currently travelling
+  through the component's private buffers (pipeline registers, crossbar
+  FIFOs, pending-response lists; *not* MSHR residence, which the sanitizer
+  reads from the tables themselves).
+* :meth:`Component.counters` yields ``(name, cumulative int)`` pairs, all
+  monotone, in three groups: plain counters (``"instructions"``,
+  ``"l2_fills"``), stall causes under :data:`STALL_PREFIX` and the
+  cycle-accounting partition under :data:`CLASS_PREFIX`.  Probes report
+  per-window deltas.
+
+The defaults yield nothing, so plain components need not care and
+observation is strictly opt-in and free when nothing is attached.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ from typing import Any
 #: any reachable cycle count, but small enough that arithmetic on it stays
 #: in CPython's fast int range.
 WAKE_NEVER = 1 << 62
+
+#: :meth:`Component.counters` prefix of the memory-pipeline stall causes.
+STALL_PREFIX = "stall."
+#: :meth:`Component.counters` prefix of the cycle-accounting partition.
+CLASS_PREFIX = "class."
 
 
 class Component:
@@ -109,54 +115,33 @@ class Component:
         """
 
     # ------------------------------------------------------------------
-    # sanitizer introspection hooks
+    # observation hooks
     # ------------------------------------------------------------------
-    def inspect_queues(self) -> Iterable[Any]:
-        """Bounded :class:`~repro.mem.queue.StatQueue` instances owned here."""
+    def queues(self) -> Iterable[tuple[str, Any]]:
+        """``(family, StatQueue)`` pairs for every bounded queue owned here."""
         return ()
 
-    def inspect_mshrs(self) -> Iterable[Any]:
-        """:class:`~repro.cache.mshr.MSHRTable` instances owned here."""
+    def mshrs(self) -> Iterable[tuple[str, Any]]:
+        """``(family, MSHRTable)`` pairs for every MSHR table owned here."""
         return ()
 
-    def inspect_inflight(self) -> Iterable[Any]:
+    def inflight(self) -> Iterable[Any]:
         """Requests held in transit buffers other than the above queues."""
         return ()
 
-    # ------------------------------------------------------------------
-    # telemetry sampling hooks
-    # ------------------------------------------------------------------
-    def sample_queues(self) -> Iterable[tuple[str, object]]:
-        """``(family, StatQueue)`` pairs for windowed congestion series."""
-        return ()
+    def counters(self) -> Iterable[tuple[str, int]]:
+        """``(name, cumulative value)`` monotone counters.
 
-    def sample_mshrs(self) -> Iterable[tuple[str, object]]:
-        """``(family, MSHRTable)`` pairs for windowed occupancy series."""
-        return ()
+        Besides plain counters, two prefixed groups:
 
-    def sample_counters(self) -> Iterable[tuple[str, float]]:
-        """``(name, cumulative value)`` monotone counters for delta series."""
-        return ()
-
-    def sample_stalls(self) -> Iterable[tuple[str, int]]:
-        """``(cause, cumulative stall cycles)`` pairs for attribution.
-
-        Causes are stable string keys (the ``AccessResult`` stall values:
-        ``"stall_mshr_full"``, ``"stall_merge_full"``,
-        ``"stall_missq_full"``).  Like :meth:`sample_counters`, values are
-        cumulative and monotone; the attribution probe reports per-window
-        deltas.  Components without a stalling issue stage return nothing.
+        * :data:`STALL_PREFIX` + cause — stall cycles per stable cause key
+          (the ``AccessResult`` stall values: ``"stall_mshr_full"``,
+          ``"stall_merge_full"``, ``"stall_missq_full"``);
+        * :data:`CLASS_PREFIX` + class — an exhaustive cycle-accounting
+          partition, including ``class.cycles`` (total stepped cycles).
+          The contract, enforced by the sanitizer and the attribution
+          tests, is *exact conservation*: the other classes sum to
+          ``class.cycles`` at every cycle boundary, with no overlap and
+          no gap.
         """
         return ()
-
-    def inspect_cycle_classes(self) -> dict[str, int]:
-        """Exhaustive cycle-accounting partition for this component.
-
-        A component that classifies its cycles returns a mapping holding
-        the key ``"cycles"`` (its total stepped cycles) plus one entry per
-        accounting class.  The contract — enforced by the sanitizer and
-        the attribution tests — is *exact conservation*: the class counts
-        sum to ``cycles`` at every cycle boundary, with no overlap and no
-        gap.  The default (empty mapping) means "no accounting here".
-        """
-        return {}

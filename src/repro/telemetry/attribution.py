@@ -7,7 +7,8 @@ pays when applied where the blame actually lies.  This module turns that
 methodology into an instrument with two cooperating parts:
 
 **Cycle accounting** — every SM cycle is classified into exactly one of
-four classes via :meth:`~repro.sim.component.Component.inspect_cycle_classes`:
+four classes, read from the ``class.`` group of
+:meth:`~repro.sim.component.Component.counters`:
 
 * ``issue`` — at least one instruction issued;
 * ``issue_starved`` — ready warps existed but nothing issued (the LD/ST
@@ -21,11 +22,11 @@ attribution tests, and survives fast-forward byte-identically because the
 SM replays skipped cycles into the same counters).
 
 **Blame chains** — memory-pipeline stalls (``stall_mshr_full`` /
-``stall_merge_full`` / ``stall_missq_full`` from
-:meth:`~repro.sim.component.Component.sample_stalls`) say *that* the SM
-was throttled, not *who* is responsible.  Per window the probe walks the
-downstream occupancy evidence deepest-first and assigns each stalled
-cycle to the deepest congested stage:
+``stall_merge_full`` / ``stall_missq_full``, the ``stall.`` group of
+the same counters) say *that* the SM was throttled, not *who* is
+responsible.  Per window the probe walks the downstream occupancy
+evidence deepest-first and assigns each stalled cycle to the deepest
+congested stage:
 
 * ``dram`` — the DRAM scheduler queue (or the L2 miss queue feeding it)
   was full for at least ``blame_threshold`` of the window;
@@ -50,6 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import UsageError
+from repro.sim.component import CLASS_PREFIX, STALL_PREFIX
 from repro.telemetry.timeseries import DEFAULT_MAX_WINDOWS, DEFAULT_WINDOW
 
 #: Downstream-congestion fraction above which a stage takes the blame.
@@ -105,9 +107,8 @@ class AttributionProbe:
     Parameters
     ----------
     sim:
-        The simulator whose components are read (through
-        ``inspect_cycle_classes`` / ``sample_stalls`` / ``sample_queues``
-        / ``sample_counters``).
+        The simulator whose components are read (through ``queues`` and
+        the ``class.`` / ``stall.`` groups of ``counters``).
     window:
         Window length in core cycles.
     max_windows:
@@ -147,10 +148,6 @@ class AttributionProbe:
         self._index = 0
         self._finalized = False
         self._scanned = False
-        #: Components exposing a cycle-class partition (the SMs).
-        self._accounted: list = []
-        #: Components exposing per-cause stall counters.
-        self._stall_sources: list = []
         #: family -> [StatQueue, ...] for the blame-chain evidence.
         self._queues: dict[str, list] = {}
         # Cumulative snapshots at the previous window boundary.
@@ -186,14 +183,9 @@ class AttributionProbe:
         return probe
 
     def _scan(self) -> None:
-        """Discover instrumented components through the hooks."""
+        """Discover the blame-chain queues through the hooks."""
         for component in self._sim.components:
-            if component.inspect_cycle_classes():
-                self._accounted.append(component)
-            for _cause, _cycles in component.sample_stalls():
-                self._stall_sources.append(component)
-                break
-            for family, queue in component.sample_queues():
+            for family, queue in component.queues():
                 self._queues.setdefault(family, []).append(queue)
         self._scanned = True
 
@@ -217,30 +209,26 @@ class AttributionProbe:
     # ------------------------------------------------------------------
     # the capture itself
     # ------------------------------------------------------------------
-    def _read_classes(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for component in self._accounted:
-            for name, count in component.inspect_cycle_classes().items():
-                totals[name] = totals.get(name, 0) + count
-        return totals
+    def _read_counters(self) -> tuple[dict[str, int], dict[str, int], int]:
+        """Cumulative class counts, stall cycles by cause and blocked cycles.
 
-    def _read_stalls(self) -> dict[str, int]:
-        # All SMs step every cycle, so every stall source is rediscovered
-        # here even if it had no stalls at scan time.
-        totals: dict[str, int] = {}
+        Summed over components; the blocked count is the request-path
+        crossbar's delivery-blocked port-cycles.
+        """
+        classes: dict[str, int] = {}
+        stalls: dict[str, int] = {}
+        blocked = 0
         for component in self._sim.components:
-            for cause, cycles in component.sample_stalls():
-                totals[cause] = totals.get(cause, 0) + cycles
-        return totals
-
-    def _read_blocked(self) -> int:
-        """Cumulative request-path delivery-blocked port-cycles."""
-        total = 0
-        for component in self._sim.components:
-            for name, value in component.sample_counters():
-                if name == "req_xbar_delivery_blocked_cycles":
-                    total += int(value)
-        return total
+            for name, value in component.counters():
+                if name.startswith(CLASS_PREFIX):
+                    key = name[len(CLASS_PREFIX):]
+                    classes[key] = classes.get(key, 0) + value
+                elif name.startswith(STALL_PREFIX):
+                    key = name[len(STALL_PREFIX):]
+                    stalls[key] = stalls.get(key, 0) + value
+                elif name == "req_xbar_delivery_blocked_cycles":
+                    blocked += int(value)
+        return classes, stalls, blocked
 
     def _queue_full_share(
         self, family: str, length: int, boundary: int
@@ -261,8 +249,9 @@ class AttributionProbe:
         if length <= 0:
             return
 
+        class_now, stall_now, blocked_now = self._read_counters()
+
         # --- cycle-class deltas -----------------------------------------
-        class_now = self._read_classes()
         classes = {
             name: count - self._prev_classes.get(name, 0)
             for name, count in class_now.items()
@@ -272,7 +261,6 @@ class AttributionProbe:
         sm_cycles = classes.pop("cycles", 0)
 
         # --- stall-cause deltas -----------------------------------------
-        stall_now = self._read_stalls()
         stalls = {
             cause: cycles - self._prev_stalls.get(cause, 0)
             for cause, cycles in stall_now.items()
@@ -281,7 +269,6 @@ class AttributionProbe:
         self._stall_totals = stall_now
 
         # --- downstream congestion evidence -----------------------------
-        blocked_now = self._read_blocked()
         blocked = blocked_now - self._prev_blocked
         self._prev_blocked = blocked_now
         signals = {

@@ -14,8 +14,9 @@ windows and records, per window:
   at the boundary);
 * **DRAM bus utilization** — data-bus busy cycles in the window / window
   cycles, averaged over channels;
-* raw **counter deltas** for every ``sample_counters`` source, so derived
-  series (crossbar flits, L2 fills, ...) need no probe changes.
+* raw **counter deltas** for every plain (unprefixed) ``counters``
+  source, so derived series (crossbar flits, L2 fills, ...) need no probe
+  changes.
 
 The probe is event-light: ``on_cycle`` is a modulo test except at window
 boundaries, where it snapshots the cumulative counters the components
@@ -38,6 +39,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import UsageError
+from repro.sim.component import CLASS_PREFIX, STALL_PREFIX
 
 #: Default window length in core cycles.
 DEFAULT_WINDOW = 2_000
@@ -74,7 +76,7 @@ class WindowSample:
     mshr_occupancy: dict[str, float] = field(default_factory=dict)
     #: Data-bus busy cycles / window cycles, averaged over DRAM channels.
     dram_bus_utilization: float = 0.0
-    #: name -> windowed delta of every ``sample_counters`` source.
+    #: name -> windowed delta of every plain ``counters`` source.
     counters: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -99,6 +101,14 @@ class WindowSample:
             "dram_bus_utilization": self.dram_bus_utilization,
             "counters": dict(self.counters),
         }
+
+
+def _plain(component) -> list[tuple[str, int]]:
+    """The component's counters outside the stall and class groups."""
+    return [
+        (name, value) for name, value in component.counters()
+        if not name.startswith((STALL_PREFIX, CLASS_PREFIX))
+    ]
 
 
 class TimeSeriesProbe:
@@ -139,9 +149,9 @@ class TimeSeriesProbe:
         self._index = 0
         self._finalized = False
         self._scanned = False
-        #: family -> [StatQueue, ...] discovered through sample_queues.
+        #: family -> [StatQueue, ...] discovered through queues().
         self._queues: dict[str, list] = {}
-        #: family -> [MSHRTable, ...] discovered through sample_mshrs.
+        #: family -> [MSHRTable, ...] discovered through mshrs().
         self._mshrs: dict[str, list] = {}
         #: counter name -> number of components publishing it.
         self._counter_sources: dict[str, int] = {}
@@ -166,13 +176,13 @@ class TimeSeriesProbe:
         return probe
 
     def _scan(self) -> None:
-        """Discover instruments through the components' sample hooks."""
+        """Discover instruments through the components' observation hooks."""
         for component in self._sim.components:
-            for family, queue in component.sample_queues():
+            for family, queue in component.queues():
                 self._queues.setdefault(family, []).append(queue)
-            for family, table in component.sample_mshrs():
+            for family, table in component.mshrs():
                 self._mshrs.setdefault(family, []).append(table)
-            for name, _value in component.sample_counters():
+            for name, _value in _plain(component):
                 self._counter_sources[name] = (
                     self._counter_sources.get(name, 0) + 1
                 )
@@ -201,7 +211,7 @@ class TimeSeriesProbe:
     def _read_counters(self) -> dict[str, float]:
         totals: dict[str, float] = {}
         for component in self._sim.components:
-            for name, value in component.sample_counters():
+            for name, value in _plain(component):
                 totals[name] = totals.get(name, 0) + value
         return totals
 

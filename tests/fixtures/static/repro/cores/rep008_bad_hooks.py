@@ -1,4 +1,4 @@
-"""Fixture: inspect_*/sample_* hook signature drift (REP008).
+"""Fixture: observation/stepping hook signature drift (REP008).
 
 Uses an intermediate subclass so the checker's transitive base-class
 resolution is exercised too: ``BadHooks`` reaches Component only through
@@ -13,10 +13,10 @@ class IntermediateComponent(Component):
 
 
 class BadHooks(IntermediateComponent):
-    def inspect_queues(self, deep):  # extra required parameter
+    def queues(self, deep):  # extra required parameter
         return ()
 
-    def sample_counters(self, now, window):  # base takes only self
+    def counters(self, now, window):  # base takes only self
         return ()
 
     def step(self):  # dropped the cycle argument

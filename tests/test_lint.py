@@ -1,22 +1,29 @@
-"""Tests for the custom lint pass (repro.analysis.lint).
+"""Tests for the hygiene rules REP001-005 (repro.analysis.static.hygiene).
 
 One positive and one negative case per rule, the noqa escape hatch, the
-hot-path inference from file paths, the CLI exit codes — and the meta
-check that the shipped source tree itself lints clean.
+hot-package inference from module names, the CLI exit codes — and the
+meta check that the shipped source tree itself lints clean.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import lint_paths, lint_source, run_lint
+from repro.analysis.static import analyze_paths, run_static
+from repro.analysis.static.modgraph import parse_source
+from repro.analysis.static.runner import analyze_modules
 from repro.errors import UsageError
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def codes(source, path="src/repro/core/x.py", hot=None):
-    return [v.code for v in lint_source(source, path, hot=hot)]
+def findings(source, path):
+    """Every active finding for one module's source, in line order."""
+    return analyze_modules([parse_source(source, path)]).active
+
+
+def codes(source, path="src/repro/core/x.py"):
+    return [f.rule for f in findings(source, path)]
 
 
 class TestREP001Nondeterminism:
@@ -108,12 +115,17 @@ class TestREP004HotPathSlots:
             path = f"src/repro/{package}/x.py"
             assert codes(self.BARE, path=path) == ["REP004"], package
 
-    def test_explicit_hot_overrides_path(self):
-        assert codes(self.BARE, path="elsewhere.py", hot=True) == ["REP004"]
-        assert codes(self.BARE, path="src/repro/dram/x.py", hot=False) == []
+    def test_hot_taken_from_module_name(self):
+        # The package under the last ``repro`` directory decides; a path
+        # with no module identity, or a module merely named like a hot
+        # package, is cold.
+        assert codes(self.BARE, path="lib/repro/dram/x.py") == ["REP004"]
+        assert codes(self.BARE, path="cache/repro/core/x.py") == []
+        assert codes(self.BARE, path="src/repro/runner/cache.py") == []
+        assert codes(self.BARE, path="elsewhere.py") == []
 
     def test_plain_class_exempt(self):
-        assert codes("class P:\n    pass\n", hot=True) == []
+        assert codes("class P:\n    pass\n", path="src/repro/mem/x.py") == []
 
 
 class TestREP005FrozenConfigMutation:
@@ -149,16 +161,15 @@ class TestSuppression:
 class TestEntryPoints:
     def test_syntax_error_raises_usage_error(self):
         with pytest.raises(UsageError, match="syntax error"):
-            lint_source("def broken(:\n", "bad.py")
+            parse_source("def broken(:\n", "bad.py")
 
     def test_violations_sorted_by_line(self):
         source = "assert b\nassert a\n"
-        violations = lint_source(source, "x.py")
-        assert [v.line for v in violations] == [1, 2]
+        assert [f.line for f in findings(source, "x.py")] == [1, 2]
 
     def test_render_format(self):
-        violation = lint_source("assert x\n", "pkg/mod.py")[0]
-        assert violation.render() == (
+        finding = findings("assert x\n", "pkg/mod.py")[0]
+        assert finding.render() == (
             "pkg/mod.py:1:0: REP002 assert vanishes under python -O; raise "
             "SimulationError (or another ReproError) for protocol violations"
         )
@@ -171,22 +182,28 @@ class TestEntryPoints:
         pycache = package / "__pycache__"
         pycache.mkdir()
         (pycache / "skipped.py").write_text("assert x\n")
-        violations = lint_paths([str(tmp_path)])
-        assert [v.code for v in violations] == ["REP002"]
+        fixtures = package / "fixtures"
+        fixtures.mkdir()
+        (fixtures / "skipped.py").write_text("assert x\n")
+        report = analyze_paths([str(tmp_path)])
+        assert [f.rule for f in report.active] == ["REP002"]
+        # A fixtures directory given as the root is still analysed.
+        report = analyze_paths([str(fixtures)])
+        assert [f.rule for f in report.active] == ["REP002"]
 
     def test_lint_paths_rejects_non_python(self, tmp_path):
         target = tmp_path / "notes.txt"
         target.write_text("hello")
         with pytest.raises(UsageError, match="not a python file"):
-            lint_paths([str(target)])
+            analyze_paths([str(target)])
 
     def test_run_lint_exit_codes(self, tmp_path, capsys):
         clean = tmp_path / "clean.py"
         clean.write_text("x = 1\n")
-        assert run_lint([str(clean)]) == 0
+        assert run_static([str(clean)], no_baseline=True) == 0
         dirty = tmp_path / "dirty.py"
         dirty.write_text("import random\nx = random.random()\n")
-        assert run_lint([str(dirty)]) == 1
+        assert run_static([str(dirty)], no_baseline=True) == 1
         out = capsys.readouterr().out
         assert "REP001" in out
         assert "1 violation(s)" in out
@@ -194,5 +211,7 @@ class TestEntryPoints:
 
 class TestShippedTreeIsClean:
     def test_src_lints_clean(self):
-        # The tree the repo ships must satisfy its own lint rules.
-        assert lint_paths([str(REPO_SRC)]) == []
+        # The tree the repo ships must satisfy its own hygiene rules.
+        report = analyze_paths([str(REPO_SRC)])
+        hygiene = [f for f in report.active if f.rule <= "REP005"]
+        assert hygiene == []

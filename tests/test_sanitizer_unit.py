@@ -29,21 +29,21 @@ class Harness(Component):
     name = "harness"
 
     def __init__(self, queues=(), mshrs=(), inflight=()):
-        self.queues = list(queues)
-        self.mshrs = list(mshrs)
-        self.inflight = list(inflight)
+        self.held_queues = list(queues)
+        self.held_mshrs = list(mshrs)
+        self.held_inflight = list(inflight)
 
     def step(self, now):
         pass
 
-    def inspect_queues(self):
-        return self.queues
+    def queues(self):
+        return [("harness_q", queue) for queue in self.held_queues]
 
-    def inspect_mshrs(self):
-        return self.mshrs
+    def mshrs(self):
+        return [("harness_mshr", table) for table in self.held_mshrs]
 
-    def inspect_inflight(self):
-        return self.inflight
+    def inflight(self):
+        return self.held_inflight
 
 
 def make_rig(**containers):
@@ -126,7 +126,7 @@ class TestRequestConservation:
     def test_unretired_request_at_finalize_detected(self):
         sim, harness, factory, _ = make_rig()
         queue = StatQueue("q", 4)
-        harness.queues.append(queue)
+        harness.held_queues.append(queue)
         queue.push(make_request(factory), now=0)
         with pytest.raises(SanitizerError, match="never retired"):
             sim.finalize()

@@ -33,6 +33,7 @@ from repro.service import (
 from repro.service.daemon import (
     CANCELLED,
     DONE,
+    EVENTS_DIR,
     FINISHED_KEPT,
     QUEUED,
     RUNNING,
@@ -321,6 +322,10 @@ class TestStoredSubmissions:
         with pytest.raises(ServiceError) as err:
             daemon.status(oldest["id"])
         assert err.value.code == "unknown-job"
+        # A forgotten submission's event log is pruned with it.
+        events_dir = daemon.state_dir / EVENTS_DIR
+        assert not (events_dir / f"{oldest['id']}.jsonl").exists()
+        assert len(list(events_dir.iterdir())) <= len(daemon._submissions)
         again = daemon.submit(spec)
         assert again["id"] == oldest["id"]
         assert (again["state"], again["coalesced"]) == (DONE, False)
@@ -332,6 +337,17 @@ class TestStoredSubmissions:
             daemon.cancel(daemon.submit(_spec(seeds=[seed]))["id"])
         assert daemon.status(waiting["id"])["state"] == QUEUED
         assert len(daemon._submissions) == FINISHED_KEPT + 1
+
+    def test_full_queue_does_not_refuse_a_stored_submission(self, tmp_path):
+        spec = _spec(seeds=[1, 2])
+        store, worker_csv = self._stored(tmp_path, spec)
+        daemon = _daemon(tmp_path / "s", cache=store, queue_depth=1)
+        cold = daemon.submit(_spec(seeds=[3]))  # no worker: stays queued
+        assert cold["state"] == QUEUED
+        status = daemon.submit(spec)
+        assert (status["state"], status["coalesced"]) == (DONE, False)
+        assert daemon.results(status["id"], "csv")["text"] == worker_csv
+        assert daemon.status(cold["id"])["state"] == QUEUED
 
     def test_stop_waits_for_a_submission_running_at_submit(self, tmp_path):
         spec = _spec()

@@ -8,6 +8,7 @@ shipped tree.
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -18,6 +19,8 @@ import pytest
 from repro.analysis.static import RULES, analyze_paths
 from repro.analysis.static.baseline import Baseline
 from repro.analysis.static.finding import Finding
+from repro.analysis.static.modgraph import parse_source
+from repro.analysis.static.runner import analyze_modules
 from repro.analysis.static.suppress import codes_suppressed_on
 from repro.cli import main as cli_main
 from repro.errors import UsageError
@@ -33,6 +36,10 @@ def _rules_found(report):
 
 def _findings_for(report, rule):
     return [f for f in report.active if f.rule == rule]
+
+
+def _active(source, path):
+    return analyze_modules([parse_source(source, path)]).active
 
 
 class TestPassesOnFixtures:
@@ -135,20 +142,16 @@ class TestSuppression:
         if report.suppressed != 1:
             pytest.fail(f"suppressed count {report.suppressed}, want 1")
 
-    def test_classic_rules_accept_bracket_spelling(self, tmp_path):
-        from repro.analysis.lint import lint_source
-
+    def test_classic_rules_accept_bracket_spelling(self):
         source = "import time\nt = time.time()  # repro: noqa[REP001]\n"
-        if lint_source(source, "src/repro/x.py"):
-            pytest.fail("bracketed suppression ignored by classic lint")
+        if _active(source, "src/repro/x.py"):
+            pytest.fail("bracketed suppression ignored by the hygiene rules")
 
     def test_classic_rep002_exempt_under_tests(self):
-        from repro.analysis.lint import lint_source
-
         source = "def test_x():\n    assert 1 == 1\n"
-        if lint_source(source, "tests/test_x.py"):
+        if _active(source, "tests/test_x.py"):
             pytest.fail("REP002 applied to test code")
-        if not lint_source(source, "src/repro/x.py"):
+        if not _active(source, "src/repro/x.py"):
             pytest.fail("REP002 missing on simulator code")
 
 
@@ -299,8 +302,7 @@ class TestOutputs:
 
 class TestEntryPoints:
     def test_cli_static_exits_1_on_fixtures(self, capsys):
-        code = cli_main(
-            ["lint", "--static", str(FIXTURES), "--no-baseline"])
+        code = cli_main(["lint", str(FIXTURES), "--no-baseline"])
         out = capsys.readouterr().out
         if code != 1:
             pytest.fail(f"exit code {code}, want 1")
@@ -309,7 +311,7 @@ class TestEntryPoints:
 
     def test_cli_static_clean_on_src_with_baseline(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        code = cli_main(["lint", "--static", "src"])
+        code = cli_main(["lint", "src"])
         capsys.readouterr()
         if code != 0:
             pytest.fail("shipped tree not clean through the CLI")
@@ -317,7 +319,7 @@ class TestEntryPoints:
     def test_cli_writes_sarif_file(self, capsys, tmp_path, monkeypatch):
         out_path = tmp_path / "report.sarif"
         code = cli_main([
-            "lint", "--static", str(FIXTURES), "--no-baseline",
+            "lint", str(FIXTURES), "--no-baseline",
             "--format", "sarif", "--output", str(out_path)])
         capsys.readouterr()
         if code != 1:
@@ -326,24 +328,33 @@ class TestEntryPoints:
         if log["version"] != "2.1.0":
             pytest.fail("SARIF file malformed")
 
-    def test_scripts_lint_static(self):
+    def test_module_entry_point_lint(self):
         proc = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "lint.py"),
-             "--static", str(FIXTURES), "--no-baseline"],
-            capture_output=True, text=True, cwd=REPO_ROOT)
+            [sys.executable, "-m", "repro", "lint", str(FIXTURES),
+             "--no-baseline"],
+            capture_output=True, text=True, cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
         if proc.returncode != 1:
             pytest.fail(
-                f"scripts/lint.py --static exit {proc.returncode}:\n"
+                f"python -m repro lint exit {proc.returncode}:\n"
                 f"{proc.stdout}\n{proc.stderr}")
         if "REP012" not in proc.stdout:
             pytest.fail(f"REP012 missing from output:\n{proc.stdout}")
 
-    def test_classic_lint_still_default(self, capsys, monkeypatch):
+    def test_whole_tree_lints_clean(self, capsys, monkeypatch):
+        # Directory walks skip tests/fixtures, so one run covers the tree.
         monkeypatch.chdir(REPO_ROOT)
         code = cli_main(["lint", "src", "tests", "scripts"])
         capsys.readouterr()
         if code != 0:
-            pytest.fail("classic lint over src+tests+scripts not clean")
+            pytest.fail("lint over src+tests+scripts not clean")
+
+    def test_static_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["lint", "--static", "src"])
+        capsys.readouterr()
+        if exc.value.code != 2:
+            pytest.fail(f"--static exit {exc.value.code}, want 2")
 
 
 class TestFindingModel:
