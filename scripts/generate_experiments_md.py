@@ -7,29 +7,27 @@ baseline and records paper-vs-measured values for each table and figure.
 import sys
 import time
 
-from repro import (
-    PAPER_SUITE,
-    analyze_synergy,
-    explore_design_space,
-    measure_congestion,
-    profile_latency_tolerance,
-    render_table_i,
-    small_gpu,
-)
-from repro.core.bottleneck import diagnose_suite, render_diagnoses
+from repro import PAPER_SUITE, analyze_synergy, render_table_i, small_gpu
+from repro.core.bottleneck import diagnosis_plan, render_diagnoses
+from repro.core.congestion import congestion_plan
 from repro.core.cost_model import (
     cost_effectiveness,
     pareto_frontier,
     render_cost_effectiveness,
 )
-from repro.core.explorer import SECTION_IV_CONFIGS
-from repro.core.latency_profile import IDEAL_DRAM_LATENCY, IDEAL_L2_LATENCY
+from repro.core.explorer import SECTION_IV_CONFIGS, exploration_plan
+from repro.core.latency_profile import (
+    IDEAL_DRAM_LATENCY,
+    IDEAL_L2_LATENCY,
+    latency_profile_plan,
+)
 from repro.core.report import (
     PAPER_AVG_GAINS,
     PAPER_DRAM_SCHEDQ_FULL,
     PAPER_L2_ACCESSQ_FULL,
     render_figure1,
 )
+from repro.runner import combine, run_plan
 
 SCALE = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
 OUT = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
@@ -39,23 +37,18 @@ def main() -> None:
     config = small_gpu()
     t0 = time.time()  # noqa: REP001 - host wall timing, not simulated time
 
-    print("running Figure 1 sweep ...", flush=True)
-    profiles = [
-        profile_latency_tolerance(
-            name, config, latencies=range(0, 801, 100), iteration_scale=SCALE)
-        for name in PAPER_SUITE
-    ]
+    # One batch: the baseline runs all four experiments need execute once.
+    print("running Figure 1, Section III, Section IV and bottleneck "
+          "classification ...", flush=True)
+    *profiles, congestion, result, diagnoses = run_plan(combine([
+        *(latency_profile_plan(name, config, range(0, 801, 100), SCALE)
+          for name in PAPER_SUITE),
+        congestion_plan(config, iteration_scale=SCALE),
+        exploration_plan(config, iteration_scale=SCALE),
+        diagnosis_plan(config, iteration_scale=SCALE),
+    ]))
     by_name = {p.benchmark: p for p in profiles}
-
-    print("running Section III congestion ...", flush=True)
-    congestion = measure_congestion(config, iteration_scale=SCALE)
-
-    print("running Section IV exploration ...", flush=True)
-    result = explore_design_space(config, iteration_scale=SCALE)
     synergy = analyze_synergy(result)
-
-    print("running bottleneck classification ...", flush=True)
-    diagnoses = diagnose_suite(config, iteration_scale=SCALE)
 
     points = cost_effectiveness(result, SECTION_IV_CONFIGS)
     frontier = pareto_frontier(points)

@@ -10,9 +10,9 @@ Section IV design-space exploration.
 
 Quickstart::
 
-    from repro import small_gpu, get_benchmark, run_kernel
+    from repro import Job, small_gpu
 
-    metrics = run_kernel(small_gpu(), get_benchmark("lbm"))
+    metrics = Job(small_gpu(), "lbm").execute()
     print(metrics.ipc, metrics.l2_accessq.full_fraction)
 """
 
@@ -28,7 +28,7 @@ from repro.sim.config import (
     tiny_gpu,
 )
 from repro.gpu import GPU
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import ProbeSpec, RunMetrics, run_kernel
 from repro.core.latency_profile import (
     DEFAULT_LATENCIES,
     LatencyProfile,
@@ -78,7 +78,7 @@ from repro.core.scaling_curve import (
 )
 from repro.core.replication import Replication, ReplicationReport, replicate
 from repro.core.validation import Check, ValidationReport, validate_reproduction
-from repro.runner import BatchRunner, Job, ResultCache, code_version
+from repro.runner import BatchRunner, Job, Plan, ResultCache, code_version, run_plan
 from repro.workloads.program import KernelProgram
 from repro.workloads.synthetic import SyntheticKernelSpec, build_kernel
 from repro.workloads.suite import BENCHMARKS, PAPER_SUITE, SPECS, get_benchmark
@@ -97,6 +97,7 @@ __all__ = [
     "small_gpu",
     "tiny_gpu",
     "GPU",
+    "ProbeSpec",
     "RunMetrics",
     "run_kernel",
     "DEFAULT_LATENCIES",
@@ -142,6 +143,8 @@ __all__ = [
     "validate_reproduction",
     "BatchRunner",
     "Job",
+    "Plan",
+    "run_plan",
     "ResultCache",
     "code_version",
     "RequestTracer",

@@ -30,10 +30,14 @@ Every experiment in the paper can be regenerated from the shell::
 All experiment commands accept ``--scale`` (iteration scale, default 1.0;
 smaller is faster), ``--config`` (small / fermi / tiny) and ``--seed``.
 
-Batch commands (``run``, ``congestion``, ``latency-profile``, ``explore``,
-``replicate``, ``export``) additionally accept ``--jobs N`` (process-pool
-fan-out; ``--jobs 1`` stays in-process), ``--no-cache`` and ``--cache-dir``.
-Results are cached on disk keyed by config + kernel + seed + code version;
+Every command that simulates (except ``breakdown``) runs through the
+batch runner and additionally accepts ``--jobs N`` (process-pool fan-out;
+``--jobs 1`` stays in-process), ``--no-cache`` and ``--cache-dir``.  The
+experiment commands (``congestion``, ``latency-profile``, ``explore``,
+``diagnose``, ``replicate``, ``validate``) share one flag group and one
+handler: each builds its experiment's plan, runs it, and prints the report.
+Results are cached on disk keyed by config + kernel + seed + probes +
+code version;
 ``repro cache info`` / ``repro cache clear`` / ``repro cache evict``
 manage the store (``info`` also reports lifetime hit-rate statistics and
 orphaned temp files).  Report output on stdout is byte-identical whatever
@@ -84,21 +88,26 @@ import contextlib
 import json
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
-from repro.core.bottleneck import diagnose_suite, render_diagnoses
-from repro.core.congestion import measure_congestion
+from repro.core.bottleneck import diagnosis_plan, render_diagnoses
+from repro.core.congestion import congestion_plan
 from repro.core.latency_breakdown import (
     congestion_share,
     measure_latency_breakdown,
 )
 from repro.core.design_space import render_table_i
-from repro.core.explorer import explore_design_space
-from repro.core.latency_profile import profile_latency_tolerance
-from repro.core.metrics import run_kernel
-from repro.core.profile import config_for_label, profile_diff, profile_kernel
-from repro.core.replication import replicate
-from repro.core.validation import validate_reproduction
+from repro.core.explorer import exploration_plan
+from repro.core.latency_profile import latency_profile_plan
+from repro.core.metrics import ProbeSpec, RunMetrics
+from repro.core.profile import (
+    config_for_label,
+    profile_diff,
+    profile_plan,
+    sweep_matrix,
+)
+from repro.core.replication import replication_plan
+from repro.core.validation import validation_plan
 from repro.core.export import export_runs, write_text
 from repro.errors import ReproError, UsageError
 from repro.core.report import (
@@ -126,6 +135,7 @@ from repro.runner.campaign import (
     DEFAULT_STALE_AFTER,
     default_store,
 )
+from repro.runner.plan import Plan, combine
 from repro.service import (
     DEFAULT_QUEUE_DEPTH,
     ReproDaemon,
@@ -133,29 +143,48 @@ from repro.service import (
     serve as service_serve,
     sweep_spec,
 )
+from repro.service.protocol import NAMED_CONFIGS as _CONFIGS
 from repro.runner.cache import default_cache_dir
-from repro.sim.config import GPUConfig, fermi_gtx480, small_gpu, tiny_gpu
+from repro.sim.config import GPUConfig
+from repro.telemetry import (
+    DEFAULT_TRACE_LIMIT,
+    DEFAULT_TRACE_STRIDE,
+    DEFAULT_WINDOW,
+)
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, SPECS, get_benchmark
-
-_CONFIGS = {
-    "small": small_gpu,
-    "fermi": fermi_gtx480,
-    "tiny": tiny_gpu,
-}
+from repro.workloads.suite import PAPER_SUITE, SPECS
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", choices=sorted(_CONFIGS), default="small",
         help="architecture configuration (default: small)")
     parser.add_argument(
         "--scale", type=float, default=1.0,
         help="benchmark iteration scale; < 1 runs faster (default: 1.0)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_config(parser)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument(
         "--benchmarks", nargs="*", default=list(PAPER_SUITE),
         metavar="NAME", help="subset of the suite to run")
+
+
+def _add_sweep(parser: argparse.ArgumentParser) -> None:
+    """The Section IV sweep matrix flags of ``campaign run`` and ``submit``."""
+    _add_config(parser)
+    parser.add_argument(
+        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
+        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
+    parser.add_argument(
+        "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
+        help="seeds in the sweep (default: 1)")
+    parser.add_argument(
+        "--configs", nargs="*", default=["baseline"], metavar="LABEL",
+        help="Section IV scaling labels in the sweep (baseline, l1, l2, "
+             "dram, l1+l2, l2+dram; default: baseline)")
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
@@ -181,37 +210,34 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
              "runs (stdout output is unaffected)")
 
 
-@contextlib.contextmanager
-def _make_runner(args: argparse.Namespace) -> Iterator[BatchRunner]:
-    """A batch runner for the command; its ``--events`` log closes on exit."""
+def _run_jobs(args: argparse.Namespace, jobs: Sequence[Job]) -> list[RunMetrics]:
+    """Run ``jobs`` on the runner the command's flags describe.
+
+    Cache reuse and truncated runs are noted on stderr, so report output
+    on stdout stays byte-identical across ``--jobs`` settings and
+    cold/warm cache runs.  The ``--events`` log closes on return.
+    """
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     log = EventLog(args.events) if args.events else contextlib.nullcontext()
     with log as events:
-        yield BatchRunner(
+        runner = BatchRunner(
             jobs=args.jobs, cache=cache, events=events,
             progress=args.progress)
-
-
-def _note_batch(runner: BatchRunner, *metrics_groups) -> None:
-    """Post-batch stderr notes: cache reuse and truncated runs.
-
-    Notes go to stderr so report output on stdout stays byte-identical
-    across ``--jobs`` settings and cold/warm cache runs.
-    """
-    stats = runner.total_stats
+        runs = runner.run(jobs)
+    stats = runner.last_stats
     if stats.cache_hits:
         print(
             f"cache: {stats.cache_hits} of {stats.unique} job(s) served "
             f"from cache ({stats.executed} executed)",
             file=sys.stderr)
-    truncated = sum(
-        1 for group in metrics_groups for m in group if m.truncated
-    )
+    # A job submitted twice returns one shared metrics object.
+    truncated = len({id(m) for m in runs if m.truncated})
     if truncated:
         print(
             f"warning: {truncated} run(s) hit the cycle limit; their "
             "metrics are truncated lower bounds",
             file=sys.stderr)
+    return runs
 
 
 def _config(args: argparse.Namespace) -> GPUConfig:
@@ -258,33 +284,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     if args.magic_latency is not None:
         config = config.with_magic_memory(args.magic_latency)
-    instrumented = args.sanitize or args.timeline
-    profiling = args.profile_sim is not None or args.profile_out is not None
-    if instrumented or profiling:
-        # Observers hook simulator objects directly, and cProfile must
-        # see the simulation frames, so these runs stay on the in-process
-        # path regardless of --jobs (see docs/architecture.md, "Parallel
-        # execution & caching").
-        profiler = None
-        if profiling:
-            import cProfile
+    probes = None
+    if args.sanitize or args.timeline:
+        probes = ProbeSpec(
+            sanitize_interval=args.sanitize_interval if args.sanitize else None,
+            timeline_window=args.window if args.timeline else None,
+        )
+    job = Job(config, args.benchmark, seed=args.seed,
+              iteration_scale=args.scale, probes=probes)
+    if args.profile_sim is not None or args.profile_out is not None:
+        # cProfile sees only this process's frames: execute the job
+        # here, never in a pool worker or from the cache.
+        import cProfile
 
-            profiler = cProfile.Profile()
-            profiler.enable()
-        metrics = run_kernel(
-            config, get_benchmark(args.benchmark, args.scale), seed=args.seed,
-            sanitize=args.sanitize, sanitize_interval=args.sanitize_interval,
-            timeline=args.timeline, timeline_window=args.window)
-        if profiler is not None:
-            profiler.disable()
-            _report_sim_profile(profiler, args)
+        with cProfile.Profile() as profiler:
+            metrics = job.execute()
+        _report_sim_profile(profiler, args)
     else:
-        with _make_runner(args) as runner:
-            [metrics] = runner.run([
-                Job(config, args.benchmark, seed=args.seed,
-                    iteration_scale=args.scale)
-            ])
-        _note_batch(runner, [metrics])
+        [metrics] = _run_jobs(args, [job])
     rows = [
         ["cycles", metrics.cycles],
         ["instructions", metrics.instructions],
@@ -324,30 +341,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     config = _config(args)
-    if args.diff is not None:
-        label_a, label_b = args.diff
-        profiles = [
-            profile_kernel(
-                config_for_label(config, label),
-                args.benchmark,
-                config_label=label,
-                iteration_scale=args.scale,
-                seed=args.seed,
-                window=args.window,
-            )
-            for label in (label_a, label_b)
-        ]
-        document = profile_diff(*profiles)
-        print(render_profile_diff(document))
-    else:
-        document = profile_kernel(
-            config_for_label(config, args.config_label),
+    plan = combine([
+        profile_plan(
+            config_for_label(config, label),
             args.benchmark,
-            config_label=args.config_label,
+            config_label=label,
             iteration_scale=args.scale,
             seed=args.seed,
             window=args.window,
         )
+        for label in (args.diff or [args.config_label])
+    ])
+    documents = plan.fold(_run_jobs(args, plan.jobs))
+    if args.diff is not None:
+        document = profile_diff(*documents)
+        print(render_profile_diff(document))
+    else:
+        [document] = documents
         print(render_profile(document))
     if args.json:
         path = write_text(args.json, json.dumps(document, indent=2) + "\n")
@@ -356,10 +366,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    config = _config(args)
-    metrics = run_kernel(
-        config, get_benchmark(args.benchmark, args.scale), seed=args.seed,
-        trace=True, trace_stride=args.stride, trace_limit=args.limit)
+    probes = ProbeSpec(trace_stride=args.stride, trace_limit=args.limit)
+    [metrics] = _run_jobs(args, [
+        Job(_config(args), args.benchmark, seed=args.seed,
+            iteration_scale=args.scale, probes=probes)
+    ])
     trace = metrics.extras["trace"]
     path = write_text(
         args.out, json.dumps(trace, separators=(",", ":")) + "\n")
@@ -399,56 +410,36 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_congestion(args: argparse.Namespace) -> int:
-    with _make_runner(args) as runner:
-        report = measure_congestion(
-            _config(args), benchmarks=args.benchmarks,
-            iteration_scale=args.scale, seed=args.seed, runner=runner)
-    print(render_congestion(report))
-    _note_batch(runner, report.runs.values())
-    return 0
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """Every paper experiment: run its plan, print its rendered report."""
+    plan = args.plan(args, _config(args))
+    report = plan.fold(_run_jobs(args, plan.jobs))
+    print(args.render(report))
+    return 0 if args.passed(report) else 1
 
 
-def _cmd_latency_profile(args: argparse.Namespace) -> int:
-    config = _config(args)
+def _latency_profile_plan(args: argparse.Namespace, config: GPUConfig) -> Plan:
     latencies = args.latencies or list(range(0, 801, args.step))
-    with _make_runner(args) as runner:
-        profiles = [
-            profile_latency_tolerance(
-                name, config, latencies=latencies,
-                iteration_scale=args.scale, seed=args.seed, runner=runner)
-            for name in args.benchmarks
-        ]
-    print(render_figure1(profiles))
-    _note_batch(
-        runner,
-        [p.baseline for p in profiles],
-        [pt for p in profiles for pt in p.points],
-    )
-    return 0
+    return combine([
+        latency_profile_plan(
+            name, config, latencies=latencies,
+            iteration_scale=args.scale, seed=args.seed)
+        for name in args.benchmarks
+    ])
 
 
-def _cmd_explore(args: argparse.Namespace) -> int:
-    with _make_runner(args) as runner:
-        result = explore_design_space(
-            _config(args), benchmarks=args.benchmarks,
-            iteration_scale=args.scale, seed=args.seed, runner=runner)
-    print(render_section_iv(result, analyze_synergy(result)))
-    _note_batch(
-        runner, [m for per in result.runs.values() for m in per.values()])
+def _render_explore(result) -> str:
+    text = render_section_iv(result, analyze_synergy(result))
     degraded = result.degraded_benchmarks("l1")
     if degraded:
-        print(f"\nIsolated L1 scaling degraded: {', '.join(degraded)} "
-              "(the paper's counter-productive case)")
-    return 0
+        text += (f"\n\nIsolated L1 scaling degraded: {', '.join(degraded)} "
+                 "(the paper's counter-productive case)")
+    return text
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> int:
-    diagnoses = diagnose_suite(
-        _config(args), benchmarks=args.benchmarks,
-        iteration_scale=args.scale, seed=args.seed)
-    print(render_diagnoses(diagnoses))
-    return 0
+def _render_replicate(report) -> str:
+    return (f"{report.to_table()}\n\n"
+            f"worst coefficient of variation: {report.worst_cv():.1%}")
 
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
@@ -464,27 +455,11 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replicate(args: argparse.Namespace) -> int:
-    with _make_runner(args) as runner:
-        report = replicate(
-            _config(args), args.benchmark, seeds=tuple(args.seeds),
-            iteration_scale=args.scale, runner=runner)
-    print(report.to_table())
-    print(f"\nworst coefficient of variation: {report.worst_cv():.1%}")
-    _note_batch(runner)
-    return 0
-
-
 def _cmd_export(args: argparse.Namespace) -> int:
-    config = _config(args)
-    with _make_runner(args) as runner:
-        runs = runner.run([
-            Job(config, name, seed=args.seed, iteration_scale=args.scale)
-            for name in args.benchmarks
-        ])
+    runs = _run_jobs(args, sweep_matrix(
+        _config(args), ["baseline"], args.benchmarks, [args.seed], args.scale))
     path = export_runs(runs, args.output, args.format)
     print(f"wrote {len(runs)} runs to {path} ({args.format})")
-    _note_batch(runner, runs)
     return 0
 
 
@@ -539,18 +514,6 @@ def _campaign_store(args: argparse.Namespace) -> ResultCache:
     )
 
 
-def _campaign_jobs(args: argparse.Namespace) -> list[Job]:
-    """The sweep matrix: Section IV config labels x benchmarks x seeds."""
-    base = _CONFIGS[args.config]()
-    return [
-        Job(config_for_label(base, label), name, seed=seed,
-            iteration_scale=args.scale)
-        for label in args.configs
-        for name in args.benchmarks
-        for seed in args.seeds
-    ]
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     store = _campaign_store(args)
     if args.action == "status":
@@ -558,19 +521,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "run":
-        jobs = _campaign_jobs(args)
+        jobs = sweep_matrix(
+            _config(args), args.configs, args.benchmarks, args.seeds,
+            args.scale)
 
         def _verify_join() -> None:
             # Joining an existing campaign: the requested sweep must be
             # the same work list, otherwise results would not line up.
             manifest = CampaignManifest.load(args.directory)
-            requested: list[str] = []
-            seen: set[str] = set()
-            for job in jobs:
-                key = job.key()
-                if key not in seen:
-                    seen.add(key)
-                    requested.append(key)
+            requested = list(dict.fromkeys(job.key() for job in jobs))
             if manifest.keys() != requested:
                 raise UsageError(
                     f"campaign at {args.directory} exists with a different "
@@ -725,13 +684,6 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_reproduction(
-        _config(args), iteration_scale=args.scale, seed=args.seed)
-    print(report.to_table())
-    return 0 if report.passed else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -762,14 +714,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the telemetry probe and print per-window IPC / "
              "queue-congestion / occupancy sparklines")
     run.add_argument(
-        "--window", type=int, default=None, metavar="CYCLES",
+        "--window", type=int, default=DEFAULT_WINDOW, metavar="CYCLES",
         help="telemetry window length in cycles (default: 2000)")
     run.add_argument(
         "--profile-sim", type=int, nargs="?", const=25, default=None,
         metavar="N",
         help="profile the simulation with cProfile and print the top N "
              "functions by cumulative time to stderr (default N: 25; "
-             "forces the in-process path)")
+             "the job runs in this process, never from the cache)")
     run.add_argument(
         "--profile-out", default=None, metavar="PATH",
         help="also dump the raw pstats profile data to PATH (for "
@@ -792,12 +744,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="profile two Section IV labels and explain B's speedup over "
              "A as reclaimed stall cycles (overrides --config-label)")
     profile.add_argument(
-        "--window", type=int, default=None, metavar="CYCLES",
+        "--window", type=int, default=DEFAULT_WINDOW, metavar="CYCLES",
         help="attribution window length in cycles (default: 2000)")
     profile.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the profile (or diff) document as JSON to PATH")
     _add_common(profile)
+    _add_runner(profile)
     profile.set_defaults(func=_cmd_profile)
 
     trace = sub.add_parser(
@@ -809,13 +762,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="trace.json", metavar="PATH",
         help="output path for the trace-event JSON (default: trace.json)")
     trace.add_argument(
-        "--stride", type=int, default=None, metavar="N",
+        "--stride", type=int, default=DEFAULT_TRACE_STRIDE, metavar="N",
         help="trace every N-th coalescer-issued request (default: 16; "
              "1 traces everything)")
     trace.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=int, default=DEFAULT_TRACE_LIMIT, metavar="N",
         help="cap on traced requests (default: 4096)")
     _add_common(trace)
+    _add_runner(trace)
     trace.set_defaults(func=_cmd_trace)
 
     lint = sub.add_parser(
@@ -847,34 +801,42 @@ def build_parser() -> argparse.ArgumentParser:
              "justifications of surviving entries) and exit 0")
     lint.set_defaults(func=_cmd_lint)
 
-    cong = sub.add_parser(
-        "congestion", help="Section III: queue-occupancy measurement")
-    _add_common(cong)
-    _add_runner(cong)
-    cong.set_defaults(func=_cmd_congestion)
+    def _add_experiment(name, help, plan, render, passed=lambda _: True):
+        parser = sub.add_parser(name, help=help)
+        _add_common(parser)
+        _add_runner(parser)
+        parser.set_defaults(
+            func=_cmd_experiment, plan=plan, render=render, passed=passed)
+        return parser
 
-    prof = sub.add_parser(
-        "latency-profile", help="Figure 1: latency tolerance profile")
+    _add_experiment(
+        "congestion", "Section III: queue-occupancy measurement",
+        lambda args, config: congestion_plan(
+            config, args.benchmarks, args.scale, args.seed),
+        render_congestion)
+
+    prof = _add_experiment(
+        "latency-profile", "Figure 1: latency tolerance profile",
+        _latency_profile_plan, render_figure1)
     prof.add_argument(
         "--latencies", nargs="*", type=int, default=None,
         help="explicit latency points (default 0..800)")
     prof.add_argument(
         "--step", type=int, default=100,
         help="latency grid step when --latencies not given (default 100)")
-    _add_common(prof)
-    _add_runner(prof)
-    prof.set_defaults(func=_cmd_latency_profile)
 
-    explore = sub.add_parser(
-        "explore", help="Section IV: design-space exploration")
-    _add_common(explore)
-    _add_runner(explore)
-    explore.set_defaults(func=_cmd_explore)
+    _add_experiment(
+        "explore", "Section IV: design-space exploration",
+        lambda args, config: exploration_plan(
+            config, args.benchmarks, iteration_scale=args.scale,
+            seed=args.seed),
+        _render_explore)
 
-    diagnose = sub.add_parser(
-        "diagnose", help="classify each benchmark's dominant bottleneck")
-    _add_common(diagnose)
-    diagnose.set_defaults(func=_cmd_diagnose)
+    _add_experiment(
+        "diagnose", "classify each benchmark's dominant bottleneck",
+        lambda args, config: diagnosis_plan(
+            config, args.benchmarks, args.scale, args.seed),
+        render_diagnoses)
 
     breakdown = sub.add_parser(
         "breakdown", help="per-hop latency breakdown of one benchmark")
@@ -882,14 +844,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(breakdown)
     breakdown.set_defaults(func=_cmd_breakdown)
 
-    repl = sub.add_parser(
-        "replicate", help="seed-sensitivity of one benchmark's metrics")
+    repl = _add_experiment(
+        "replicate", "seed-sensitivity of one benchmark's metrics",
+        lambda args, config: replication_plan(
+            config, args.benchmark, seeds=args.seeds,
+            iteration_scale=args.scale),
+        _render_replicate)
     repl.add_argument("benchmark", choices=sorted(SPECS))
     repl.add_argument(
         "--seeds", nargs="*", type=int, default=[1, 2, 3, 4, 5])
-    _add_common(repl)
-    _add_runner(repl)
-    repl.set_defaults(func=_cmd_replicate)
 
     export = sub.add_parser(
         "export", help="run the suite and export metrics as CSV or JSON")
@@ -902,11 +865,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner(export)
     export.set_defaults(func=_cmd_export)
 
-    validate = sub.add_parser(
+    _add_experiment(
         "validate",
-        help="run the full battery and evaluate every claim of the paper")
-    _add_common(validate)
-    validate.set_defaults(func=_cmd_validate)
+        "run the full battery and evaluate every claim of the paper",
+        lambda args, config: validation_plan(
+            config, iteration_scale=args.scale, seed=args.seed),
+        lambda report: report.to_table(),
+        lambda report: report.passed)
 
     cache = sub.add_parser(
         "cache", help="inspect, clear or size-bound the on-disk result cache")
@@ -972,22 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="create the campaign manifest (config labels x benchmarks x "
              "seeds) if absent, then work it; rerunning the same command "
              "joins as another worker")
-    crun.add_argument(
-        "--config", choices=sorted(_CONFIGS), default="small",
-        help="architecture configuration (default: small)")
-    crun.add_argument(
-        "--scale", type=float, default=1.0,
-        help="benchmark iteration scale (default: 1.0)")
-    crun.add_argument(
-        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
-    crun.add_argument(
-        "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
-        help="seeds in the sweep (default: 1)")
-    crun.add_argument(
-        "--configs", nargs="*", default=["baseline"], metavar="LABEL",
-        help="Section IV scaling labels in the sweep (baseline, l1, l2, "
-             "dram, l1+l2, l2+dram; default: baseline)")
+    _add_sweep(crun)
     _add_campaign_worker(crun)
     crun.set_defaults(func=_cmd_campaign)
 
@@ -1054,21 +1004,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submit a sweep to a running daemon; identical concurrent "
              "submissions coalesce onto one simulation pass")
     _add_service_conn(submit)
-    submit.add_argument(
-        "--config", choices=sorted(_CONFIGS), default="small",
-        help="architecture configuration (default: small)")
-    submit.add_argument(
-        "--scale", type=float, default=1.0,
-        help="benchmark iteration scale (default: 1.0)")
-    submit.add_argument(
-        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="benchmarks in the sweep (default: the suite)")
-    submit.add_argument(
-        "--seeds", nargs="*", type=int, default=[1], metavar="SEED",
-        help="seeds in the sweep (default: 1)")
-    submit.add_argument(
-        "--configs", nargs="*", default=["baseline"], metavar="LABEL",
-        help="Section IV scaling labels in the sweep (default: baseline)")
+    _add_sweep(submit)
     submit.add_argument(
         "--wait", action="store_true",
         help="poll until the submission settles (implied by --out)")

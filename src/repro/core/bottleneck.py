@@ -26,11 +26,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from typing import Any
 
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
+from repro.runner import BatchRunner, Job
+from repro.runner.plan import Plan, run_plan
 from repro.sim.config import GPUConfig
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, get_benchmark
+from repro.workloads.suite import PAPER_SUITE
 
 
 class Bottleneck(enum.Enum):
@@ -88,20 +91,28 @@ def peak_issue_rate(config: GPUConfig) -> float:
     return config.core.n_sms * config.core.issue_width
 
 
-def diagnose_suite(
+def diagnosis_plan(
     config: GPUConfig,
     benchmarks: Sequence[str] = PAPER_SUITE,
     iteration_scale: float = 1.0,
     seed: int = 1,
-) -> list[Diagnosis]:
-    """Run and classify a set of suite benchmarks."""
+) -> Plan[list[Diagnosis]]:
+    """One run per suite benchmark, each classified."""
     peak = peak_issue_rate(config)
-    out = []
-    for name in benchmarks:
-        metrics = run_kernel(
-            config, get_benchmark(name, iteration_scale), seed=seed)
-        out.append(classify(metrics, peak))
-    return out
+    return Plan(
+        tuple(
+            Job(config, name, seed=seed, iteration_scale=iteration_scale)
+            for name in benchmarks
+        ),
+        lambda runs: [classify(metrics, peak) for metrics in runs],
+    )
+
+
+def diagnose_suite(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> list[Diagnosis]:
+    """Run :func:`diagnosis_plan` on ``runner`` (default: serial)."""
+    return run_plan(diagnosis_plan(*args, **kwargs), runner)
 
 
 def render_diagnoses(diagnoses: Sequence[Diagnosis]) -> str:

@@ -5,7 +5,7 @@ of the L2 access queues.  We observe that on average, the L2 access queues
 are full for 46% of their usage lifetime.  Similarly ... the DRAM access
 queues are full for 39% of their usage lifetime."
 
-:func:`measure_congestion` runs the suite on the baseline configuration
+:func:`congestion_plan` runs the suite on the baseline configuration
 and reports, per benchmark and averaged, the full-fraction of every queue
 in the hierarchy, plus the supporting congestion indicators (MSHR
 pressure, crossbar blockage, reservation failures).
@@ -15,14 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from typing import Any
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.sim.config import GPUConfig
 from repro.utils.means import arithmetic_mean
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, get_benchmark
+from repro.workloads.suite import PAPER_SUITE
 from repro.runner import BatchRunner, Job
+from repro.runner.plan import Plan, run_plan
 
 
 @dataclass(frozen=True)
@@ -116,35 +118,27 @@ class CongestionReport:
         return table
 
 
-def measure_congestion(
+def congestion_plan(
     config: GPUConfig,
     benchmarks: Sequence[str] = PAPER_SUITE,
     iteration_scale: float = 1.0,
     seed: int = 1,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    runner: BatchRunner | None = None,
-) -> CongestionReport:
-    """Run the suite on ``config`` and gather the Section III measurements.
-
-    With ``runner``, the per-benchmark runs execute as one batch
-    (parallel and/or cached); results merge back in ``benchmarks`` order
-    regardless of completion order.
-    """
+) -> Plan[CongestionReport]:
+    """The Section III measurement: one baseline run per benchmark."""
     benchmarks = list(benchmarks)
-    if runner is not None:
-        results = runner.run(
-            [
-                Job(config, name, seed=seed, iteration_scale=iteration_scale,
-                    max_cycles=max_cycles)
-                for name in benchmarks
-            ]
-        )
-        runs = dict(zip(benchmarks, results))
-    else:
-        runs = {}
-        for name in benchmarks:
-            kernel = get_benchmark(name, iteration_scale)
-            runs[name] = run_kernel(
-                config, kernel, seed=seed, max_cycles=max_cycles
-            )
-    return CongestionReport(runs=runs)
+    return Plan(
+        tuple(
+            Job(config, name, seed=seed, iteration_scale=iteration_scale,
+                max_cycles=max_cycles)
+            for name in benchmarks
+        ),
+        lambda runs: CongestionReport(runs=dict(zip(benchmarks, runs))),
+    )
+
+
+def measure_congestion(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> CongestionReport:
+    """Run :func:`congestion_plan` on ``runner`` (default: serial)."""
+    return run_plan(congestion_plan(*args, **kwargs), runner)

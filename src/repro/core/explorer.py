@@ -24,15 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
+from typing import Any
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.core.design_space import scale_levels, scaled_config
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.sim.config import GPUConfig
 from repro.utils.means import arithmetic_mean, geometric_mean
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, get_benchmark
+from repro.workloads.suite import PAPER_SUITE
 from repro.runner import BatchRunner, Job
+from repro.runner.plan import Plan, grid, run_plan
 
 #: The experiment matrix of Section IV: label -> levels scaled together.
 SECTION_IV_CONFIGS: dict[str, tuple[str, ...]] = {
@@ -109,62 +111,48 @@ class ExplorationResult:
         )
 
 
-def explore_design_space(
+def exploration_plan(
     config: GPUConfig,
     benchmarks: Sequence[str] = PAPER_SUITE,
     configs: Mapping[str, tuple[str, ...]] | None = None,
     iteration_scale: float = 1.0,
     seed: int = 1,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    runner: BatchRunner | None = None,
-) -> ExplorationResult:
-    """Run the Section IV experiment matrix.
+) -> Plan[ExplorationResult]:
+    """The Section IV experiment matrix: every (config, benchmark) cell.
 
     ``configs`` maps labels to tuples of levels to scale together; the
     default is the paper's matrix (baseline, each level alone, L1+L2,
-    L2+DRAM).
-
-    With ``runner``, the whole (config x benchmark) matrix executes as
-    one batch (parallel and/or cached); results merge back by position,
-    never by completion order.
+    L2+DRAM).  A missing baseline is added, since every speedup is
+    relative to it.
     """
     if configs is None:
         configs = SECTION_IV_CONFIGS
     if "baseline" not in configs:
         configs = {"baseline": (), **configs}
-    benchmarks = list(benchmarks)
-    runs: dict[str, dict[str, RunMetrics]] = {}
-    if runner is not None:
-        jobs: list[Job] = []
-        index: list[tuple[str, str]] = []
-        for label, levels in configs.items():
-            scaled = scale_levels(config, levels)
-            for name in benchmarks:
-                jobs.append(
-                    Job(scaled, name, seed=seed,
-                        iteration_scale=iteration_scale, max_cycles=max_cycles)
-                )
-                index.append((label, name))
-        results = runner.run(jobs)
-        for (label, name), metrics in zip(index, results):
-            runs.setdefault(label, {})[name] = metrics
-    else:
-        kernels = {
-            name: get_benchmark(name, iteration_scale) for name in benchmarks
-        }
-        for label, levels in configs.items():
-            scaled = scale_levels(config, levels)
-            runs[label] = {
-                name: run_kernel(
-                    scaled, kernel, seed=seed, max_cycles=max_cycles
-                )
-                for name, kernel in kernels.items()
-            }
-    return ExplorationResult(
-        runs=runs,
-        config_labels=tuple(configs),
-        benchmarks=tuple(benchmarks),
+    benchmarks = tuple(benchmarks)
+    labels = tuple(configs)
+    scaled = [scale_levels(config, configs[label]) for label in labels]
+    return Plan(
+        tuple(
+            Job(cfg, name, seed=seed, iteration_scale=iteration_scale,
+                max_cycles=max_cycles)
+            for cfg in scaled
+            for name in benchmarks
+        ),
+        lambda runs: ExplorationResult(
+            runs=grid(labels, benchmarks, runs),
+            config_labels=labels,
+            benchmarks=benchmarks,
+        ),
     )
+
+
+def explore_design_space(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> ExplorationResult:
+    """Run :func:`exploration_plan` on ``runner`` (default: serial)."""
+    return run_plan(exploration_plan(*args, **kwargs), runner)
 
 
 @dataclass(frozen=True)
@@ -182,7 +170,7 @@ class ParameterSweep:
         return {v: self.points[v].speedup_over(base) for v in values}
 
 
-def sweep_parameter(
+def parameter_sweep_plan(
     config: GPUConfig,
     key: str,
     values: Sequence[int],
@@ -190,11 +178,23 @@ def sweep_parameter(
     iteration_scale: float = 1.0,
     seed: int = 1,
     max_cycles: int = DEFAULT_MAX_CYCLES,
+) -> Plan[ParameterSweep]:
+    """One benchmark across several values of one Table I parameter."""
+    values = list(values)
+    return Plan(
+        tuple(
+            Job(scaled_config(config, key, value), benchmark, seed=seed,
+                iteration_scale=iteration_scale, max_cycles=max_cycles)
+            for value in values
+        ),
+        lambda runs: ParameterSweep(
+            parameter=key, benchmark=benchmark,
+            points=dict(zip(values, runs))),
+    )
+
+
+def sweep_parameter(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
 ) -> ParameterSweep:
-    """Run one benchmark across several values of one Table I parameter."""
-    kernel = get_benchmark(benchmark, iteration_scale)
-    points = {}
-    for value in values:
-        cfg = scaled_config(config, key, value)
-        points[value] = run_kernel(cfg, kernel, seed=seed, max_cycles=max_cycles)
-    return ParameterSweep(parameter=key, benchmark=benchmark, points=points)
+    """Run :func:`parameter_sweep_plan` on ``runner`` (default: serial)."""
+    return run_plan(parameter_sweep_plan(*args, **kwargs), runner)

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
+from typing import Any
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.sim.config import GPUConfig
-from repro.workloads.program import KernelProgram
-from repro.workloads.suite import get_benchmark
 from repro.runner import BatchRunner, Job
+from repro.runner.plan import Plan, run_plan
 
 #: The paper's x-axis: 0..800 cycles in steps of 50.
 DEFAULT_LATENCIES: tuple[int, ...] = tuple(range(0, 801, 50))
@@ -114,69 +114,46 @@ class LatencyProfile:
         return [(float(p.latency), p.normalized_ipc) for p in self.points]
 
 
-def profile_latency_tolerance(
-    benchmark: str | KernelProgram,
+def latency_profile_plan(
+    benchmark: str,
     config: GPUConfig,
     latencies: Sequence[int] = DEFAULT_LATENCIES,
     iteration_scale: float = 1.0,
     seed: int = 1,
-    baseline: RunMetrics | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    runner: BatchRunner | None = None,
-) -> LatencyProfile:
-    """Produce one benchmark's Figure 1 curve.
-
-    ``baseline`` may be supplied to reuse an existing baseline run (e.g.
-    shared with the congestion measurement); otherwise the true baseline
-    configuration is simulated first.
-
-    With ``runner``, the baseline and every swept point execute as one
-    batch (parallel and/or cached); this requires a suite benchmark
-    *name*, since ad-hoc :class:`KernelProgram` objects cannot cross
-    process boundaries.
-    """
+) -> Plan[LatencyProfile]:
+    """One benchmark's Figure 1 curve: the true baseline run, then one
+    fixed-latency run per swept latency."""
     latencies = list(latencies)
-    if runner is not None and isinstance(benchmark, str):
-        name = benchmark
-        jobs = [
-            Job(config.with_magic_memory(latency), benchmark, seed=seed,
-                iteration_scale=iteration_scale, max_cycles=max_cycles)
-            for latency in latencies
+    configs = [config] + [config.with_magic_memory(l) for l in latencies]
+
+    def fold(runs: Sequence[RunMetrics]) -> LatencyProfile:
+        baseline, *point_metrics = runs
+        points = [
+            LatencyPoint(
+                latency=latency,
+                ipc=metrics.ipc,
+                normalized_ipc=(
+                    metrics.ipc / baseline.ipc if baseline.ipc else 0.0),
+                truncated=metrics.truncated,
+            )
+            for latency, metrics in zip(latencies, point_metrics)
         ]
-        if baseline is None:
-            jobs.insert(
-                0,
-                Job(config, benchmark, seed=seed,
-                    iteration_scale=iteration_scale, max_cycles=max_cycles),
-            )
-            results = runner.run(jobs)
-            baseline, point_metrics = results[0], results[1:]
-        else:
-            point_metrics = runner.run(jobs)
-    else:
-        if isinstance(benchmark, str):
-            kernel = get_benchmark(benchmark, iteration_scale)
-        else:
-            kernel = benchmark
-        name = kernel.name
-        if baseline is None:
-            baseline = run_kernel(
-                config, kernel, seed=seed, max_cycles=max_cycles
-            )
-        point_metrics = [
-            run_kernel(
-                config.with_magic_memory(latency), kernel, seed=seed,
-                max_cycles=max_cycles,
-            )
-            for latency in latencies
-        ]
-    points = [
-        LatencyPoint(
-            latency=latency,
-            ipc=metrics.ipc,
-            normalized_ipc=metrics.ipc / baseline.ipc if baseline.ipc else 0.0,
-            truncated=metrics.truncated,
-        )
-        for latency, metrics in zip(latencies, point_metrics)
-    ]
-    return LatencyProfile(benchmark=name, baseline=baseline, points=tuple(points))
+        return LatencyProfile(
+            benchmark=benchmark, baseline=baseline, points=tuple(points))
+
+    return Plan(
+        tuple(
+            Job(cfg, benchmark, seed=seed, iteration_scale=iteration_scale,
+                max_cycles=max_cycles)
+            for cfg in configs
+        ),
+        fold,
+    )
+
+
+def profile_latency_tolerance(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> LatencyProfile:
+    """Run :func:`latency_profile_plan` on ``runner`` (default: serial)."""
+    return run_plan(latency_profile_plan(*args, **kwargs), runner)

@@ -17,6 +17,13 @@ from repro.errors import CycleLimitExceeded
 from repro.gpu import GPU
 from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES
+from repro.telemetry import (
+    DEFAULT_MAX_WINDOWS,
+    DEFAULT_TRACE_LIMIT,
+    AttributionProbe,
+    RequestTracer,
+    TimeSeriesProbe,
+)
 from repro.utils.means import arithmetic_mean
 from repro.workloads.program import KernelProgram
 
@@ -227,21 +234,29 @@ def collect_metrics(gpu: GPU, benchmark: str = "") -> RunMetrics:
     )
 
 
+@dataclass(frozen=True)
+class ProbeSpec:
+    """Opt-in observers for one run, as a frozen, picklable value.
+
+    An observer attaches only when its enabling field is set:
+    ``sanitize_interval`` (the sanitizer), ``timeline_window``,
+    ``trace_stride`` and ``attribution_window`` (the telemetry probes).
+    """
+
+    sanitize_interval: int | None = None
+    timeline_window: int | None = None
+    timeline_max_windows: int = DEFAULT_MAX_WINDOWS
+    trace_stride: int | None = None
+    trace_limit: int = DEFAULT_TRACE_LIMIT
+    attribution_window: int | None = None
+
+
 def run_kernel(
     config: GPUConfig,
     kernel: KernelProgram,
     seed: int = 1,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    sanitize: bool = False,
-    sanitize_interval: int = 64,
-    timeline: bool = False,
-    timeline_window: int | None = None,
-    timeline_max_windows: int | None = None,
-    trace: bool = False,
-    trace_stride: int | None = None,
-    trace_limit: int | None = None,
-    attribution: bool = False,
-    attribution_window: int | None = None,
+    probes: ProbeSpec | None = None,
     fast_forward: bool = True,
 ) -> RunMetrics:
     """Build, run and measure one kernel on one configuration.
@@ -252,22 +267,15 @@ def run_kernel(
     attached).  Disabling it forces the naive cycle loop — the reference
     the determinism tests compare against.
 
-    With ``sanitize``, a :class:`repro.analysis.Sanitizer` checks the
-    model's invariants every ``sanitize_interval`` cycles and raises
-    :class:`~repro.errors.SanitizerError` on any violation; its counters
-    land in ``RunMetrics.extras['sanitizer']``.
-
-    With ``timeline``, a :class:`repro.telemetry.TimeSeriesProbe` samples
-    cycle-windowed series (IPC, queue congestion, MSHR occupancy, DRAM
-    bus utilization) into ``RunMetrics.extras['timeline']``; with
-    ``trace``, a :class:`repro.telemetry.RequestTracer` stride-samples
-    requests into a Chrome trace (``extras['trace']``) plus a per-hop
-    latency digest (``extras['trace_hops']``); with ``attribution``, an
-    :class:`repro.telemetry.AttributionProbe` computes windowed cycle
-    accounting and bottleneck blame chains into
-    ``extras['attribution']`` (the data behind ``repro profile``).  All
-    instrumentation is opt-in: the default run is bit-identical to an
-    uninstrumented one.
+    ``probes`` attaches observers.  A :class:`repro.analysis.Sanitizer`
+    raises :class:`~repro.errors.SanitizerError` on any violated
+    invariant; its counters land in ``RunMetrics.extras['sanitizer']``.
+    A :class:`repro.telemetry.TimeSeriesProbe` fills ``extras['timeline']``,
+    a :class:`repro.telemetry.RequestTracer` ``extras['trace']`` (Chrome
+    trace) and ``extras['trace_hops']``, and an
+    :class:`repro.telemetry.AttributionProbe` ``extras['attribution']``
+    (the data behind ``repro profile``).  Without probes the run is
+    bit-identical to an uninstrumented one.
 
     A run that exhausts ``max_cycles`` is *not* silently averaged away:
     its statistics intervals are closed at the cut-off, the metrics carry
@@ -278,54 +286,23 @@ def run_kernel(
     """
     gpu = GPU(config, kernel, seed=seed)
     gpu.sim.fast_forward_enabled = fast_forward
+    probes = probes or ProbeSpec()
     sanitizer = None
-    if sanitize:
+    if probes.sanitize_interval is not None:
         from repro.analysis.sanitizer import Sanitizer
 
-        sanitizer = Sanitizer.attach(gpu, interval=sanitize_interval)
-    probe = None
-    tracer = None
-    attributor = None
-    if timeline or trace or attribution:
-        from repro import telemetry
-
-        if attribution:
-            attributor = telemetry.AttributionProbe.attach(
-                gpu,
-                window=(
-                    telemetry.DEFAULT_WINDOW
-                    if attribution_window is None
-                    else attribution_window
-                ),
-            )
-        if timeline:
-            probe = telemetry.TimeSeriesProbe.attach(
-                gpu,
-                window=(
-                    telemetry.DEFAULT_WINDOW
-                    if timeline_window is None
-                    else timeline_window
-                ),
-                max_windows=(
-                    telemetry.DEFAULT_MAX_WINDOWS
-                    if timeline_max_windows is None
-                    else timeline_max_windows
-                ),
-            )
-        if trace:
-            tracer = telemetry.RequestTracer.attach(
-                gpu,
-                stride=(
-                    telemetry.DEFAULT_TRACE_STRIDE
-                    if trace_stride is None
-                    else trace_stride
-                ),
-                limit=(
-                    telemetry.DEFAULT_TRACE_LIMIT
-                    if trace_limit is None
-                    else trace_limit
-                ),
-            )
+        sanitizer = Sanitizer.attach(gpu, interval=probes.sanitize_interval)
+    timeline = tracer = attributor = None
+    if probes.attribution_window is not None:
+        attributor = AttributionProbe.attach(
+            gpu, window=probes.attribution_window)
+    if probes.timeline_window is not None:
+        timeline = TimeSeriesProbe.attach(
+            gpu, window=probes.timeline_window,
+            max_windows=probes.timeline_max_windows)
+    if probes.trace_stride is not None:
+        tracer = RequestTracer.attach(
+            gpu, stride=probes.trace_stride, limit=probes.trace_limit)
     truncated = False
     try:
         gpu.run(max_cycles=max_cycles)
@@ -337,8 +314,8 @@ def run_kernel(
         metrics = replace(metrics, truncated=True)
     if sanitizer is not None:
         metrics.extras["sanitizer"] = sanitizer.stats()
-    if probe is not None:
-        metrics.extras["timeline"] = probe.summary()
+    if timeline is not None:
+        metrics.extras["timeline"] = timeline.summary()
     if tracer is not None:
         metrics.extras["trace"] = tracer.to_chrome_trace()
         metrics.extras["trace_hops"] = tracer.hop_summary()

@@ -1,6 +1,6 @@
 """Top-down profile construction for ``repro profile``.
 
-:func:`profile_kernel` runs one benchmark with the
+:func:`profile_plan` runs one benchmark with the
 :class:`~repro.telemetry.AttributionProbe` attached and distils the
 result into a flat, JSON-ready profile document: the exact cycle-class
 partition, the memory-pipeline stall cycles by cause, and the blame
@@ -11,22 +11,27 @@ explains a speedup the way Section IV narrates it: as stall cycles
 *reclaimed* per cause and per blamed stage (where the +59% from L2
 scaling comes from, why L1-alone reclaims nothing).  Config labels come
 from the Section IV matrix (``baseline``, ``l1``, ``l2``, ``dram``,
-``l1+l2``, ``l2+dram``).
+``l1+l2``, ``l2+dram``); :func:`sweep_matrix` crosses them with
+benchmarks and seeds into the jobs ``repro campaign run`` and the
+service's sweep specs execute.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import Any
 
 from repro.core.design_space import scale_levels
 from repro.core.explorer import SECTION_IV_CONFIGS
-from repro.core.metrics import run_kernel
+from repro.core.metrics import ProbeSpec, RunMetrics
 from repro.errors import UsageError
+from repro.runner import Job
 from repro.runner.job import config_memo_key
+from repro.runner.plan import Plan
 from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES
-from repro.workloads.suite import get_benchmark
+from repro.telemetry import DEFAULT_WINDOW
 
 #: Bumped when the profile document layout changes.
 PROFILE_SCHEMA = 1
@@ -60,56 +65,74 @@ def _scaled(memo_key: tuple, levels: tuple[str, ...]) -> GPUConfig:
     return scale_levels(memo_key[0], levels)
 
 
-def profile_kernel(
+def sweep_matrix(
+    base: GPUConfig,
+    labels: Sequence[str],
+    benchmarks: Sequence[str],
+    seeds: Sequence[int],
+    scale: float = 1.0,
+    max_cycles: int = DEFAULT_MAX_CYCLES,
+) -> list[Job]:
+    """Section IV config labels x benchmarks x seeds, in that nesting."""
+    return [
+        Job(config, name, seed=seed, iteration_scale=scale,
+            max_cycles=max_cycles)
+        for config in [config_for_label(base, label) for label in labels]
+        for name in benchmarks
+        for seed in seeds
+    ]
+
+
+def profile_plan(
     config: GPUConfig,
     benchmark: str,
     *,
     config_label: str = "baseline",
     iteration_scale: float = 1.0,
     seed: int = 1,
-    window: int | None = None,
+    window: int = DEFAULT_WINDOW,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-) -> dict[str, Any]:
-    """Run ``benchmark`` with attribution attached; return the profile.
+) -> Plan[dict[str, Any]]:
+    """One run of ``benchmark`` with attribution attached, as a profile.
 
     ``config`` is profiled as given; ``config_label`` is recorded in the
     document (apply :func:`config_for_label` first to profile a scaled
-    point).  The returned dict is self-contained and JSON-serializable.
+    point).  The document is self-contained and JSON-serializable.
     """
-    metrics = run_kernel(
-        config,
-        get_benchmark(benchmark, iteration_scale),
-        seed=seed,
-        max_cycles=max_cycles,
-        attribution=True,
-        attribution_window=window,
-    )
-    attribution = metrics.extras["attribution"]
-    return {
-        "schema": PROFILE_SCHEMA,
-        "benchmark": benchmark,
-        "config": config_label,
-        "scale": iteration_scale,
-        "seed": seed,
-        "cycles": metrics.cycles,
-        "instructions": metrics.instructions,
-        "ipc": metrics.ipc,
-        "truncated": metrics.truncated,
-        "sm_cycles": metrics.sm_cycles,
-        "classes": dict(attribution["classes"]),
-        "stalls": dict(metrics.mem_stall_cycles_by_cause),
-        "blame": dict(attribution["blame"]),
-        "conserved": attribution["conserved"],
-        "window": attribution["window"],
-        "blame_threshold": attribution["blame_threshold"],
-        "windows": attribution["windows"],
-    }
+    job = Job(config, benchmark, seed=seed, iteration_scale=iteration_scale,
+              max_cycles=max_cycles,
+              probes=ProbeSpec(attribution_window=window))
+
+    def fold(runs: Sequence[RunMetrics]) -> dict[str, Any]:
+        [metrics] = runs
+        attribution = metrics.extras["attribution"]
+        return {
+            "schema": PROFILE_SCHEMA,
+            "benchmark": benchmark,
+            "config": config_label,
+            "scale": iteration_scale,
+            "seed": seed,
+            "cycles": metrics.cycles,
+            "instructions": metrics.instructions,
+            "ipc": metrics.ipc,
+            "truncated": metrics.truncated,
+            "sm_cycles": metrics.sm_cycles,
+            "classes": dict(attribution["classes"]),
+            "stalls": dict(metrics.mem_stall_cycles_by_cause),
+            "blame": dict(attribution["blame"]),
+            "conserved": attribution["conserved"],
+            "window": attribution["window"],
+            "blame_threshold": attribution["blame_threshold"],
+            "windows": attribution["windows"],
+        }
+
+    return Plan((job,), fold)
 
 
 def profile_diff(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
     """Explain ``b``'s speedup over ``a`` as reclaimed stall cycles.
 
-    Both profiles must come from :func:`profile_kernel` on the *same*
+    Both profiles must come from :func:`profile_plan` on the *same*
     benchmark/scale/seed, so instruction counts match and every cycle
     difference is attributable.  Positive "reclaimed" numbers mean ``b``
     spends fewer cycles there than ``a``.

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.runner import BatchRunner, Job
+from repro.runner.plan import Plan, run_plan
 from repro.sim.config import GPUConfig
 from repro.utils.tables import render_table
-from repro.workloads.program import KernelProgram
-from repro.workloads.suite import get_benchmark
 
 
 @dataclass(frozen=True)
@@ -106,55 +106,46 @@ class ReplicationReport:
         return table
 
 
-def replicate(
+def replication_plan(
     config: GPUConfig,
-    benchmark: str | KernelProgram,
+    benchmark: str,
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     iteration_scale: float = 1.0,
     metrics: dict[str, Callable[[RunMetrics], float]] | None = None,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    runner: "BatchRunner | None" = None,
-) -> ReplicationReport:
-    """Run a benchmark once per seed and aggregate the chosen metrics.
-
-    With ``runner``, the per-seed runs execute as a batch (parallel and/or
-    cached); this requires a suite benchmark *name*, since ad-hoc
-    :class:`KernelProgram` objects cannot cross process boundaries.
-    """
+) -> Plan[ReplicationReport]:
+    """One run per seed, aggregated over the chosen metrics."""
     # Defensive copy: DEFAULT_METRICS is module-level shared state; an
     # aliasing caller mutating it mid-batch must not change this report.
     metrics = dict(DEFAULT_METRICS if metrics is None else metrics)
     seeds = tuple(seeds)
-    if runner is not None and isinstance(benchmark, str):
-        name = benchmark
-        runs = runner.run(
-            [
-                Job(config, benchmark, seed=seed,
-                    iteration_scale=iteration_scale, max_cycles=max_cycles)
-                for seed in seeds
-            ]
+
+    def fold(runs: Sequence[RunMetrics]) -> ReplicationReport:
+        return ReplicationReport(
+            benchmark=benchmark,
+            seeds=seeds,
+            replications={
+                name: Replication(
+                    metric=name, values=tuple(extract(m) for m in runs))
+                for name, extract in metrics.items()
+            },
+            truncated_seeds=tuple(
+                seed for seed, m in zip(seeds, runs) if m.truncated
+            ),
         )
-    else:
-        if isinstance(benchmark, str):
-            kernel = get_benchmark(benchmark, iteration_scale)
-        else:
-            kernel = benchmark
-        name = kernel.name
-        runs = [
-            run_kernel(config, kernel, seed=seed, max_cycles=max_cycles)
+
+    return Plan(
+        tuple(
+            Job(config, benchmark, seed=seed,
+                iteration_scale=iteration_scale, max_cycles=max_cycles)
             for seed in seeds
-        ]
-    replications = {
-        metric_name: Replication(
-            metric=metric_name, values=tuple(extract(m) for m in runs)
-        )
-        for metric_name, extract in metrics.items()
-    }
-    return ReplicationReport(
-        benchmark=name,
-        seeds=seeds,
-        replications=replications,
-        truncated_seeds=tuple(
-            seed for seed, m in zip(seeds, runs) if m.truncated
         ),
+        fold,
     )
+
+
+def replicate(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> ReplicationReport:
+    """Run :func:`replication_plan` on ``runner`` (default: serial)."""
+    return run_plan(replication_plan(*args, **kwargs), runner)

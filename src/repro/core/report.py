@@ -193,7 +193,7 @@ def _share_rows(
 
 
 def render_profile(profile: Mapping) -> str:
-    """Render a ``profile_kernel`` document as the accounting tree."""
+    """Render a ``profile_plan`` document as the accounting tree."""
     windows = profile.get("windows", [])
     sm_cycles = profile.get("sm_cycles", 0)
     lines = [

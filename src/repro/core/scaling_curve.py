@@ -17,16 +17,18 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.core.design_space import parameters_for_level
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import RunMetrics
 from repro.errors import ConfigError
 from repro.sim.config import GPUConfig
 from repro.utils.means import arithmetic_mean
 from repro.utils.tables import render_table
-from repro.workloads.suite import PAPER_SUITE, get_benchmark
+from repro.workloads.suite import PAPER_SUITE
 from repro.runner import BatchRunner, Job
+from repro.runner.plan import Plan, grid, run_plan
 
 
 def _pow2_at_least(x: float) -> int:
@@ -75,7 +77,7 @@ class ScalingCurve:
         return factors[-1]
 
 
-def sweep_scaling_coefficient(
+def scaling_curve_plan(
     config: GPUConfig,
     level: str,
     factors: Sequence[int] = (1, 2, 4, 8),
@@ -83,42 +85,31 @@ def sweep_scaling_coefficient(
     iteration_scale: float = 1.0,
     seed: int = 1,
     max_cycles: int = DEFAULT_MAX_CYCLES,
-    runner: BatchRunner | None = None,
-) -> ScalingCurve:
-    """Run ``level`` at several scaling coefficients over ``benchmarks``.
-
-    With ``runner``, the (factor x benchmark) grid executes as one batch
-    (parallel and/or cached), merged back by position.
-    """
+) -> Plan[ScalingCurve]:
+    """``level`` at several scaling coefficients over ``benchmarks``;
+    coefficient 1 (the baseline) is always included."""
     if 1 not in factors:
         factors = (1, *factors)
-    benchmarks = list(benchmarks)
-    runs: dict[int, dict[str, RunMetrics]] = {}
-    if runner is not None:
-        jobs: list[Job] = []
-        index: list[tuple[int, str]] = []
-        for factor in factors:
-            scaled = scale_level_by(config, level, factor)
-            for name in benchmarks:
-                jobs.append(
-                    Job(scaled, name, seed=seed,
-                        iteration_scale=iteration_scale, max_cycles=max_cycles)
-                )
-                index.append((factor, name))
-        results = runner.run(jobs)
-        for (factor, name), metrics in zip(index, results):
-            runs.setdefault(factor, {})[name] = metrics
-    else:
-        kernels = {b: get_benchmark(b, iteration_scale) for b in benchmarks}
-        for factor in factors:
-            scaled = scale_level_by(config, level, factor)
-            runs[factor] = {
-                name: run_kernel(
-                    scaled, kernel, seed=seed, max_cycles=max_cycles
-                )
-                for name, kernel in kernels.items()
-            }
-    return ScalingCurve(level=level, runs=runs)
+    factors = tuple(factors)
+    benchmarks = tuple(benchmarks)
+    scaled = [scale_level_by(config, level, factor) for factor in factors]
+    return Plan(
+        tuple(
+            Job(cfg, name, seed=seed, iteration_scale=iteration_scale,
+                max_cycles=max_cycles)
+            for cfg in scaled
+            for name in benchmarks
+        ),
+        lambda runs: ScalingCurve(
+            level=level, runs=grid(factors, benchmarks, runs)),
+    )
+
+
+def sweep_scaling_coefficient(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> ScalingCurve:
+    """Run :func:`scaling_curve_plan` on ``runner`` (default: serial)."""
+    return run_plan(scaling_curve_plan(*args, **kwargs), runner)
 
 
 def render_scaling_curves(curves: Sequence[ScalingCurve]) -> str:

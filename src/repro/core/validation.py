@@ -1,7 +1,9 @@
 """Self-validation: the paper's claims as named, runnable checks.
 
-`validate_reproduction` runs the full experiment battery and evaluates
-every qualitative claim the reproduction stands on — the same assertions
+`validation_plan` is the full experiment battery — the Figure 1 sweep,
+the Section III congestion study and the Section IV matrix as one batch,
+whose shared baseline runs execute once — and its fold evaluates every
+qualitative claim the reproduction stands on — the same assertions
 the benchmark harness makes, packaged as a structured report so CI
 pipelines and the CLI (``repro validate``) can consume them.
 
@@ -25,15 +27,19 @@ sec4_cache_beats_dram  L1+L2 scaling beats high-bandwidth DRAM alone
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
-from repro.core.congestion import measure_congestion
-from repro.core.explorer import explore_design_space
+from repro.core.congestion import CongestionReport, congestion_plan
+from repro.core.explorer import ExplorationResult, exploration_plan
 from repro.core.latency_profile import (
     IDEAL_L2_LATENCY,
-    profile_latency_tolerance,
+    LatencyProfile,
+    latency_profile_plan,
 )
 from repro.core.synergy import analyze_synergy
+from repro.runner import BatchRunner
+from repro.runner.plan import Plan, combine, run_plan
 from repro.sim.config import GPUConfig
 from repro.utils.tables import render_table
 from repro.workloads.suite import PAPER_SUITE
@@ -75,22 +81,15 @@ class ValidationReport:
             title=f"Reproduction validation: {verdict}", align="lll")
 
 
-def validate_reproduction(
-    config: GPUConfig,
-    iteration_scale: float = 0.5,
-    seed: int = 1,
-    latencies: Sequence[int] = (0, 200, 400, 800),
+def evaluate_claims(
+    profiles: Mapping[str, LatencyProfile],
+    congestion: CongestionReport,
+    result: ExplorationResult,
 ) -> ValidationReport:
-    """Run the experiment battery and evaluate every claim."""
+    """Every claim's verdict from the three experiments' reports."""
     checks: list[Check] = []
 
     # --- Figure 1 -----------------------------------------------------
-    profiles = {
-        name: profile_latency_tolerance(
-            name, config, latencies=latencies,
-            iteration_scale=iteration_scale, seed=seed)
-        for name in PAPER_SUITE
-    }
     falling = [
         name
         for name, p in profiles.items()
@@ -123,8 +122,6 @@ def validate_reproduction(
     ))
 
     # --- Section III ----------------------------------------------------
-    congestion = measure_congestion(
-        config, iteration_scale=iteration_scale, seed=seed)
     l2_full = congestion.avg_l2_access_queue_full
     dram_full = congestion.avg_dram_queue_full
     checks.append(Check(
@@ -135,8 +132,6 @@ def validate_reproduction(
         f"DRAM sched queues full {dram_full:.0%} (paper 39%)"))
 
     # --- Section IV -----------------------------------------------------
-    result = explore_design_space(
-        config, iteration_scale=iteration_scale, seed=seed)
     gains = {l: result.average_gain(l) for l in ("l1", "l2", "dram")}
     checks.append(Check(
         "sec4_l2_dominates",
@@ -164,3 +159,32 @@ def validate_reproduction(
     ))
 
     return ValidationReport(checks=tuple(checks))
+
+
+def validation_plan(
+    config: GPUConfig,
+    iteration_scale: float = 0.5,
+    seed: int = 1,
+    latencies: Sequence[int] = (0, 200, 400, 800),
+) -> Plan[ValidationReport]:
+    """Figure 1, Section III and Section IV over the suite, as one batch."""
+    experiments = [
+        latency_profile_plan(
+            name, config, latencies=latencies,
+            iteration_scale=iteration_scale, seed=seed)
+        for name in PAPER_SUITE
+    ]
+    experiments.append(congestion_plan(
+        config, iteration_scale=iteration_scale, seed=seed))
+    experiments.append(exploration_plan(
+        config, iteration_scale=iteration_scale, seed=seed))
+    return combine(experiments).then(
+        lambda reports: evaluate_claims(
+            dict(zip(PAPER_SUITE, reports[:-2])), *reports[-2:]))
+
+
+def validate_reproduction(
+    *args: Any, runner: BatchRunner | None = None, **kwargs: Any
+) -> ValidationReport:
+    """Run :func:`validation_plan` on ``runner`` (default: serial)."""
+    return run_plan(validation_plan(*args, **kwargs), runner)

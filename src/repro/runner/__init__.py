@@ -4,7 +4,8 @@ Every headline experiment of the paper — the Figure 1 latency sweep, the
 Section III congestion study, the Table I design-space exploration — is an
 embarrassingly parallel batch of independent :func:`repro.core.metrics.run_kernel`
 invocations.  This package turns each invocation into a pure, picklable
-:class:`Job`, fans batches out over a ``multiprocessing`` pool
+:class:`Job`, each experiment into a :class:`Plan` (its jobs plus a pure
+fold to its report, executed by :func:`run_plan`), fans batches out over a ``multiprocessing`` pool
 (:class:`BatchRunner`), and memoizes completed jobs in a content-addressed
 on-disk cache (:class:`ResultCache`) so repeated report iterations are
 nearly free.
@@ -14,9 +15,10 @@ Three guarantees the drivers rely on:
 * **Determinism.** Results are merged back by job key in submission
   order, never by completion order, so ``jobs=N`` output is byte-identical
   to ``jobs=1``.
-* **Fidelity.** ``jobs=1`` executes in-process through the exact same
-  code path as before, so opt-in observers (sanitizer, telemetry) keep
-  working; the pool path is reserved for plain measurement runs.
+* **Fidelity.** A job's opt-in observers (sanitizer, telemetry; the
+  job's :class:`~repro.core.metrics.ProbeSpec`) run inside whichever
+  process executes it, and their summaries come back in
+  ``RunMetrics.extras``, identical in-process and in a pool worker.
 * **Loud failure.** Worker crashes are retried a bounded number of
   times; whatever still fails surfaces as one
   :class:`repro.errors.RunnerError` summary instead of a half-finished
@@ -43,6 +45,7 @@ from repro.runner.job import Job, code_version
 from repro.runner.cache import CacheStats, ResultCache, default_cache_dir
 from repro.runner.events import EventLog, ProgressLine
 from repro.runner.pool import DEFAULT_RETRIES, BatchRunner, JobFailure, RunnerStats
+from repro.runner.plan import Plan, combine, run_plan
 from repro.runner.campaign import (
     CampaignManifest,
     CampaignStatus,
@@ -66,6 +69,9 @@ __all__ = [
     "ProgressLine",
     "RunnerStats",
     "DEFAULT_RETRIES",
+    "Plan",
+    "combine",
+    "run_plan",
     "CampaignManifest",
     "CampaignStatus",
     "CampaignWorker",

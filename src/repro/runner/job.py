@@ -2,15 +2,16 @@
 
 A :class:`Job` captures everything that determines a simulation's outcome
 — the frozen :class:`~repro.sim.config.GPUConfig`, the suite benchmark
-name, the seed, the iteration scale and the cycle budget — and nothing
-else, so it can cross a process boundary and serve as a cache key.
+name, the seed, the iteration scale, the cycle budget and the optional
+observers (:class:`~repro.core.metrics.ProbeSpec`) — and nothing else,
+so it can cross a process boundary and serve as a cache key.
 Kernels are referenced *by name* (closures inside
 :class:`~repro.workloads.program.KernelProgram` do not pickle); the worker
 rebuilds the kernel from the suite spec, which is deterministic.
 
 :func:`Job.key` is a stable content hash over the config's dataclass
-fields, the run parameters and :func:`code_version` (a digest of the
-package's own sources), so results cached on disk are invalidated by any
+fields, the run parameters, the probe spec when one is set, and
+:func:`code_version` (a digest of the package's own sources), so results cached on disk are invalidated by any
 change to either the experiment or the simulator.  Encoding a config is
 most of a key's cost, so each distinct config is encoded to JSON once; a
 sweep's jobs share a handful of configs.
@@ -24,7 +25,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
-from repro.core.metrics import RunMetrics, run_kernel
+from repro.core.metrics import ProbeSpec, RunMetrics, run_kernel
 from repro.errors import UsageError
 from repro.sim.config import GPUConfig
 from repro.sim.engine import DEFAULT_MAX_CYCLES
@@ -105,6 +106,8 @@ class Job:
     seed: int = 1
     iteration_scale: float = 1.0
     max_cycles: int = DEFAULT_MAX_CYCLES
+    #: Observers to attach; None runs uninstrumented.
+    probes: ProbeSpec | None = None
 
     def __post_init__(self) -> None:
         if not self.kernel_name or not isinstance(self.kernel_name, str):
@@ -119,14 +122,21 @@ class Job:
 
         The hash is over the compact sorted-key JSON of the job's fields
         and :func:`code_version`, spelled out in sorted key order so the
-        config's memoized JSON is spliced in rather than re-encoded.
+        config's memoized JSON is spliced in rather than re-encoded.  The
+        ``probes`` entry appears only when a probe spec is set, so every
+        uninstrumented key is independent of the probe machinery.
         """
+        probes = (
+            "" if self.probes is None
+            else f',"probes":{_encode(dataclasses.asdict(self.probes))}'
+        )
         payload = (
             f'{{"code":{_encode(code_version())}'
             f',"config":{_config_json(self.config)}'
             f',"iteration_scale":{_encode(self.iteration_scale)}'
             f',"kernel":{_encode(self.kernel_name)}'
             f',"max_cycles":{_encode(self.max_cycles)}'
+            f'{probes}'
             f',"seed":{_encode(self.seed)}}}'
         )
         return hashlib.sha256(payload.encode()).hexdigest()
@@ -144,5 +154,6 @@ class Job:
         """Run the simulation in the current process."""
         kernel = get_benchmark(self.kernel_name, self.iteration_scale)
         return run_kernel(
-            self.config, kernel, seed=self.seed, max_cycles=self.max_cycles
+            self.config, kernel, seed=self.seed, max_cycles=self.max_cycles,
+            probes=self.probes,
         )

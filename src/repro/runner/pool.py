@@ -5,8 +5,9 @@ and returns their metrics *in submission order*:
 
 1. jobs are deduplicated by content key (identical jobs run once);
 2. the cache (when attached) is consulted for every unique key;
-3. remaining jobs run in-process (``jobs=1`` — the fidelity path, where
-   observers still work) or across a ``ProcessPoolExecutor``;
+3. remaining jobs run in-process (``jobs=1``, or a single pending job)
+   or across a ``ProcessPoolExecutor``; a job's probes run wherever the
+   job does, and their summaries return in ``RunMetrics.extras``;
 4. worker crashes and unexpected errors are retried up to ``retries``
    extra attempts; deterministic simulator failures
    (:class:`~repro.errors.ReproError`) are not retried — re-running the
@@ -67,16 +68,19 @@ def _maybe_inject_fault() -> None:
         os._exit(17)
 
 
-def _pool_execute(job: Job) -> tuple[RunMetrics, float]:
-    """Worker body; module-level so the pool can pickle it.
-
-    Returns the metrics plus the job's in-worker wall time, so the parent
-    can log per-job durations without conflating them with queueing.
-    """
-    _maybe_inject_fault()
+def _timed_execute(job: Job) -> tuple[RunMetrics, float]:
+    """The job's metrics plus its wall time in the executing process, so
+    the parent can log per-job durations without conflating them with
+    queueing."""
     start = time.perf_counter()  # noqa: REP001 - host wall timing, not simulated time
     metrics = job.execute()
     return metrics, time.perf_counter() - start  # noqa: REP001 - host wall timing, not simulated time
+
+
+def _pool_execute(job: Job) -> tuple[RunMetrics, float]:
+    """Worker body; module-level so the pool can pickle it."""
+    _maybe_inject_fault()
+    return _timed_execute(job)
 
 
 @dataclass(frozen=True)
@@ -145,7 +149,11 @@ class BatchRunner:
 
     @classmethod
     def serial(cls) -> "BatchRunner":
-        """In-process runner with no cache — the legacy execution path."""
+        """In-process runner with no cache: the default of :func:`run_plan`.
+
+        Every job executes in the calling process, in order, and nothing
+        is read from or written to disk.
+        """
         return cls(jobs=1, cache=None)
 
     # ------------------------------------------------------------------
@@ -245,17 +253,54 @@ class BatchRunner:
             retried=stats.retried,
         )
 
-    def _record(
+    def _finish(
         self,
         key: str,
-        metrics: RunMetrics,
+        attempt: int,
+        outcome: tuple[RunMetrics, float],
         results: dict[str, RunMetrics],
         stats: RunnerStats,
     ) -> None:
+        """Store one executed job's metrics (``outcome``: metrics, wall)."""
+        metrics, wall = outcome
+        self.busy_seconds += wall
         stats.executed += 1
         results[key] = metrics
         if self.cache is not None:
             self.cache.put(key, metrics)
+        self._emit(
+            "job_finish", key=key, attempt=attempt, wall_s=round(wall, 6),
+            truncated=metrics.truncated,
+        )
+
+    def _fail(
+        self,
+        key: str,
+        job: Job,
+        attempt: int,
+        error: str,
+        failures: dict[str, JobFailure],
+    ) -> None:
+        failures[key] = JobFailure(job, attempt, error)
+        self._emit(
+            "job_error", key=key, attempt=attempt, error=error, fatal=True)
+
+    def _retry_or_fail(
+        self,
+        key: str,
+        job: Job,
+        attempt: int,
+        error: str,
+        failures: dict[str, JobFailure],
+        stats: RunnerStats,
+    ) -> bool:
+        """Grant a crashed job another attempt; False once it is spent."""
+        if attempt > self.retries:
+            self._fail(key, job, attempt, error, failures)
+            return False
+        stats.retried += 1
+        self._emit("job_retry", key=key, attempt=attempt, error=error)
+        return True
 
     def _run_serial(
         self,
@@ -264,51 +309,26 @@ class BatchRunner:
         failures: dict[str, JobFailure],
         stats: RunnerStats,
     ) -> None:
-        """In-process path: observers work, no pickling, same semantics."""
+        """In-process path: no pickling, same semantics as the pool."""
         for key, job in pending.items():
-            attempts = 0
+            attempt = 0
             while True:
-                attempts += 1
+                attempt += 1
                 self._emit(
-                    "job_start", key=key, job=job.describe(),
-                    attempt=attempts,
-                )
-                start = time.perf_counter()  # noqa: REP001 - host wall timing, not simulated time
+                    "job_start", key=key, job=job.describe(), attempt=attempt)
                 try:
-                    metrics = job.execute()
+                    outcome = _timed_execute(job)
                 except ReproError as exc:
-                    failures[key] = JobFailure(
-                        job, attempts, f"{type(exc).__name__}: {exc}"
-                    )
-                    self._emit(
-                        "job_error", key=key, attempt=attempts,
-                        error=f"{type(exc).__name__}: {exc}", fatal=True,
-                    )
+                    error = f"{type(exc).__name__}: {exc}"
+                    self._fail(key, job, attempt, error, failures)
                     break
                 except Exception as exc:  # unexpected: retry, then surface
-                    if attempts > self.retries:
-                        failures[key] = JobFailure(
-                            job, attempts, f"{type(exc).__name__}: {exc}"
-                        )
-                        self._emit(
-                            "job_error", key=key, attempt=attempts,
-                            error=f"{type(exc).__name__}: {exc}", fatal=True,
-                        )
+                    error = f"{type(exc).__name__}: {exc}"
+                    if not self._retry_or_fail(
+                            key, job, attempt, error, failures, stats):
                         break
-                    stats.retried += 1
-                    self._emit(
-                        "job_retry", key=key, attempt=attempts,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
                 else:
-                    wall = time.perf_counter() - start  # noqa: REP001 - host wall timing, not simulated time
-                    self.busy_seconds += wall
-                    self._record(key, metrics, results, stats)
-                    self._emit(
-                        "job_finish", key=key, attempt=attempts,
-                        wall_s=round(wall, 6),
-                        truncated=metrics.truncated,
-                    )
+                    self._finish(key, attempt, outcome, results, stats)
                     break
             self._tick(stats, failures)
 
@@ -350,50 +370,29 @@ class BatchRunner:
                 for future in as_completed(futures):
                     key = futures[future]
                     try:
-                        metrics, wall = future.result()
+                        outcome = future.result()
                     except BrokenProcessPool:
                         crashed.append(key)
                     except ReproError as exc:
-                        failures[key] = JobFailure(
-                            round_jobs[key], attempts[key],
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                        self._emit(
-                            "job_error", key=key, attempt=attempts[key],
-                            error=f"{type(exc).__name__}: {exc}", fatal=True,
-                        )
+                        self._fail(
+                            key, round_jobs[key], attempts[key],
+                            f"{type(exc).__name__}: {exc}", failures)
                         del pending[key]
                     except Exception as exc:  # worker died or pickling broke
                         crashed.append(key)
                         crash_errors[key] = f"{type(exc).__name__}: {exc}"
                     else:
-                        self.busy_seconds += wall
-                        self._record(key, metrics, results, stats)
-                        self._emit(
-                            "job_finish", key=key, attempt=attempts[key],
-                            wall_s=round(wall, 6),
-                            truncated=metrics.truncated,
-                        )
+                        self._finish(
+                            key, attempts[key], outcome, results, stats)
                         del pending[key]
                     self._tick(stats, failures)
             for key in crashed:
                 error = crash_errors.get(
                     key, "worker crashed (process pool broken)"
                 )
-                if attempts[key] > self.retries:
-                    failures[key] = JobFailure(
-                        round_jobs[key], attempts[key], error,
-                    )
-                    self._emit(
-                        "job_error", key=key, attempt=attempts[key],
-                        error=error, fatal=True,
-                    )
+                if not self._retry_or_fail(
+                        key, round_jobs[key], attempts[key], error,
+                        failures, stats):
                     del pending[key]
-                else:
-                    stats.retried += 1
-                    self._emit(
-                        "job_retry", key=key, attempt=attempts[key],
-                        error=error,
-                    )
             if crashed:
                 self._tick(stats, failures)

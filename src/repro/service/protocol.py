@@ -31,7 +31,7 @@ import hashlib
 import json
 from typing import Any
 
-from repro.core.profile import config_for_label
+from repro.core.profile import sweep_matrix
 from repro.errors import ReproError
 from repro.runner.job import Job
 from repro.sim.config import (
@@ -161,18 +161,7 @@ def _sweep_jobs(sweep: dict[str, Any]) -> list[Job]:
                 "bad-request", f"sweep {name!r} must be a non-empty list"
             )
     try:
-        return [
-            Job(
-                config_for_label(base, label),
-                benchmark,
-                seed=seed,
-                iteration_scale=scale,
-                max_cycles=max_cycles,
-            )
-            for label in labels
-            for benchmark in benchmarks
-            for seed in seeds
-        ]
+        return sweep_matrix(base, labels, benchmarks, seeds, scale, max_cycles)
     except ReproError as exc:
         raise ServiceError("bad-request", str(exc)) from exc
 

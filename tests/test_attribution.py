@@ -22,13 +22,14 @@ import json
 
 import pytest
 
-from repro.core.metrics import STALL_CAUSE_KEYS, run_kernel
-from repro.core.profile import config_for_label, profile_diff, profile_kernel
+from repro.core.metrics import STALL_CAUSE_KEYS, ProbeSpec, run_kernel
+from repro.core.profile import config_for_label, profile_diff, profile_plan
+from repro.runner import run_plan
 from repro.core.report import render_profile, render_profile_diff
 from repro.errors import UsageError
 from repro.gpu import GPU
 from repro.sim.config import small_gpu, tiny_gpu
-from repro.telemetry import BLAME_STAGES, AttributionProbe
+from repro.telemetry import BLAME_STAGES, DEFAULT_WINDOW, AttributionProbe
 from repro.workloads.suite import BENCHMARKS, get_benchmark
 
 SCALE = 0.2
@@ -39,9 +40,10 @@ def _gto(config):
         config, core=dataclasses.replace(config.core, scheduler="gto"))
 
 
-def _run(config, name, **kwargs):
+def _run(config, name, fast_forward=True, **probes):
     return run_kernel(
-        config, get_benchmark(name, SCALE), attribution=True, **kwargs)
+        config, get_benchmark(name, SCALE), fast_forward=fast_forward,
+        probes=ProbeSpec(attribution_window=DEFAULT_WINDOW, **probes))
 
 
 def _assert_conserved(metrics):
@@ -86,7 +88,7 @@ class TestConservation:
     def test_sanitizer_accepts_the_accounting(self):
         # The sanitizer's cycle_accounting_violations pass runs on the
         # same machine; a clean run proves the invariant epoch by epoch.
-        metrics = _run(tiny_gpu(), "sc", sanitize=True, sanitize_interval=1)
+        metrics = _run(tiny_gpu(), "sc", sanitize_interval=1)
         _assert_conserved(metrics)
         assert metrics.extras["sanitizer"]["checks_run"] > 0
 
@@ -205,9 +207,9 @@ class TestStallCauseSurfacing:
 
 class TestProfileDocuments:
     def _profile(self, label="baseline", name="sc"):
-        return profile_kernel(
+        return run_plan(profile_plan(
             config_for_label(tiny_gpu(), label), name,
-            config_label=label, iteration_scale=SCALE)
+            config_label=label, iteration_scale=SCALE))
 
     def test_profile_is_json_ready_and_conserved(self):
         profile = self._profile()
@@ -247,9 +249,9 @@ class TestProfileDocuments:
         assert "reclaimed" in diff_text
 
     def test_compute_bound_profile_renders(self):
-        profile = profile_kernel(
+        profile = run_plan(profile_plan(
             tiny_gpu().with_magic_memory(0), "leukocyte",
-            iteration_scale=SCALE)
+            iteration_scale=SCALE))
         text = render_profile(profile)
         assert "Top-down cycle accounting" in text
 
@@ -259,8 +261,8 @@ class TestPaperStory:
     def test_small_config_blames_downstream_congestion(self):
         """Acceptance: a memory-intensive benchmark at the paper's small
         config attributes the majority of its stall cycles to l2/dram."""
-        profile = profile_kernel(
-            small_gpu(), "sc", iteration_scale=SCALE)
+        profile = run_plan(profile_plan(
+            small_gpu(), "sc", iteration_scale=SCALE))
         stall_total = sum(profile["stalls"].values())
         congested = sum(
             profile["blame"][stage] for stage in ("dram", "l2", "icnt"))

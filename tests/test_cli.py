@@ -108,7 +108,7 @@ class TestAnalysisCommands:
     def test_validate_parser_wiring(self):
         args = build_parser().parse_args(["validate", "--scale", "0.2"])
         assert args.scale == 0.2
-        assert args.func.__name__ == "_cmd_validate"
+        assert args.func.__name__ == "_cmd_experiment"
 
 
 class TestTelemetryCommands:

@@ -16,6 +16,7 @@ from repro.core.explorer import (
 from repro.core.latency_profile import (
     LatencyPoint,
     LatencyProfile,
+    latency_profile_plan,
     profile_latency_tolerance,
 )
 from repro.core.metrics import RunMetrics, run_kernel
@@ -33,11 +34,17 @@ PROBE = build_kernel(SyntheticKernelSpec(
 BENCHES = ("nn", "leukocyte")
 
 
+def probe_profile(latencies):
+    """Figure 1 curve of the ad-hoc PROBE kernel: its runs made directly
+    (a KernelProgram is not a suite job), folded by the experiment's plan."""
+    plan = latency_profile_plan(PROBE.name, tiny_gpu(), latencies)
+    return plan.fold([run_kernel(job.config, PROBE) for job in plan.jobs])
+
+
 class TestLatencyProfile:
     @pytest.fixture(scope="class")
     def profile(self):
-        return profile_latency_tolerance(
-            PROBE, tiny_gpu(), latencies=(0, 100, 300, 600))
+        return probe_profile((0, 100, 300, 600))
 
     def test_points_cover_requested_latencies(self, profile):
         assert [p.latency for p in profile.points] == [0, 100, 300, 600]
@@ -69,12 +76,6 @@ class TestLatencyProfile:
 
     def test_plateau_at_or_after_zero(self, profile):
         assert profile.plateau_latency() >= 0
-
-    def test_reuses_supplied_baseline(self):
-        base = run_kernel(tiny_gpu(), PROBE)
-        prof = profile_latency_tolerance(
-            PROBE, tiny_gpu(), latencies=(0,), baseline=base)
-        assert prof.baseline is base
 
     def test_benchmark_by_name(self):
         prof = profile_latency_tolerance(

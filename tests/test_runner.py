@@ -11,8 +11,9 @@ import pickle
 
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.core.explorer import SECTION_IV_CONFIGS
-from repro.core.metrics import RunMetrics
+from repro.core.metrics import ProbeSpec, RunMetrics
 from repro.core.profile import config_for_label
 from repro.cli import main
 from repro.errors import ConfigError, RunnerError, UsageError
@@ -133,6 +134,16 @@ class TestJob:
         metrics = _job(max_cycles=50).execute()
         assert metrics.truncated
         assert metrics.cycles <= 50
+
+    def test_probes_enter_the_key_only_when_set(self):
+        plain = _job()
+        timeline = _job(probes=ProbeSpec(timeline_window=100))
+        assert plain.key() == _reference_key(plain)
+        assert timeline.key() != plain.key()
+        assert timeline.key() != _job(
+            probes=ProbeSpec(timeline_window=200)).key()
+        assert timeline.key() == _job(
+            probes=ProbeSpec(timeline_window=100)).key()
 
     def test_describe_mentions_magic_latency(self):
         job = Job(tiny_gpu().with_magic_memory(200), "nn",
@@ -286,6 +297,19 @@ class TestBatchRunnerPool:
         serial = BatchRunner(jobs=1).run(jobs)
         parallel = BatchRunner(jobs=4).run(jobs)
         assert parallel == serial
+
+    def test_probe_extras_match_in_process(self):
+        # Observers run inside the worker; their summaries come back
+        # pickled in extras, equal to an in-process run's.
+        probes = ProbeSpec(
+            sanitize_interval=8, timeline_window=100, trace_stride=4,
+            attribution_window=200)
+        jobs = [_job(probes=probes), _job(seed=2, probes=probes)]
+        pooled = BatchRunner(jobs=2).run(jobs)
+        for job, metrics in zip(jobs, pooled):
+            assert set(metrics.extras) == {
+                "sanitizer", "timeline", "trace", "trace_hops", "attribution"}
+            assert metrics.extras == job.execute().extras
 
     def test_pool_populates_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -589,21 +613,74 @@ class TestCacheUsageStats:
 
 
 class TestCLI:
-    PROFILE_ARGS = [
-        "latency-profile", "--config", "tiny", "--scale", "0.1",
-        "--benchmarks", "nn", "--latencies", "0", "200",
+    TINY = ["--config", "tiny", "--scale", "0.1"]
+    #: Every command that runs through the runner, with the files it
+    #: writes ({out} is replaced per invocation).
+    COMMANDS = [
+        (["congestion", *TINY, "--benchmarks", "nn", "sc"], None),
+        (["latency-profile", *TINY, "--benchmarks", "nn",
+          "--latencies", "0", "200"], None),
+        (["explore", *TINY, "--benchmarks", "nn"], None),
+        (["diagnose", *TINY, "--benchmarks", "nn", "leukocyte"], None),
+        (["replicate", "sc", *TINY, "--seeds", "1", "2"], None),
+        (["validate", "--config", "tiny", "--scale", "0.05"], None),
+        (["run", "nn", *TINY, "--timeline", "--window", "100"], None),
+        (["profile", "sc", *TINY, "--diff", "baseline", "l2",
+          "--json", "{out}"], "{out}"),
+        (["trace", "nn", *TINY, "--stride", "1", "--out", "{out}"],
+         "{out}"),
     ]
 
-    def test_jobs_1_jobs_4_and_warm_cache_are_byte_identical(self, capsys):
-        assert main([*self.PROFILE_ARGS, "--jobs", "1"]) == 0
-        cold_serial = capsys.readouterr().out
-        assert main([*self.PROFILE_ARGS, "--jobs", "4", "--no-cache"]) == 0
-        cold_parallel = capsys.readouterr().out
-        assert main([*self.PROFILE_ARGS, "--jobs", "4"]) == 0
-        captured = capsys.readouterr()
-        assert cold_parallel == cold_serial
-        assert captured.out == cold_serial
-        assert "served from cache" in captured.err  # warm rerun note
+    def test_jobs_1_jobs_4_and_warm_cache_are_byte_identical(
+            self, capsys, tmp_path):
+        """--jobs 1, --jobs 2 --no-cache and a warm cache agree on
+        stdout and written files; the warm rerun simulates nothing."""
+        modes = {
+            "serial": ["--jobs", "1"],
+            "pool": ["--jobs", "2", "--no-cache"],
+            "warm": ["--jobs", "2"],
+        }
+        for index, (args, written) in enumerate(self.COMMANDS):
+            outputs = {}
+            for mode, flags in modes.items():
+                out = tmp_path / f"{index}.out"  # stdout names the path
+                events = tmp_path / f"{index}-{mode}.jsonl"
+                argv = [a.replace("{out}", str(out)) for a in args]
+                status = main([*argv, *flags, "--events", str(events)])
+                assert status in (0, 1), (args, mode)  # 1: a claim failed
+                captured = capsys.readouterr()
+                files = out.read_bytes() if written else b""
+                outputs[mode] = (status, captured.out, files)
+                names = [e["event"] for e in _read_events(events)]
+                if mode == "warm":
+                    assert "job_finish" not in names, args
+                    assert "cache_hit" in names, args
+                    assert "served from cache" in captured.err
+            assert outputs["pool"] == outputs["serial"], args
+            assert outputs["warm"] == outputs["serial"], args
+
+    def test_sanitizer_violation_exits_2_without_retry(
+            self, capsys, monkeypatch, tmp_path):
+        # Registering every request twice is a real conservation
+        # violation, caught by the sanitizer inside the job.
+        register = Sanitizer.on_create
+
+        def twice(self, request):
+            register(self, request)
+            register(self, request)
+
+        monkeypatch.setattr(Sanitizer, "on_create", twice)
+        events = tmp_path / "events.jsonl"
+        assert main([
+            "run", "nn", *self.TINY, "--sanitize", "--jobs", "1",
+            "--no-cache", "--events", str(events),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "[request-conservation] request id 0 allocated twice" in err
+        names = [e["event"] for e in _read_events(events)]
+        assert names.count("job_start") == 1
+        assert "job_retry" not in names
 
     def test_run_uses_cache_on_rerun(self, capsys):
         args = ["run", "nn", "--config", "tiny", "--scale", "0.1"]

@@ -10,7 +10,7 @@ not perturb simulated behaviour.
 import pytest
 
 from repro.analysis import Sanitizer
-from repro.core.metrics import run_kernel
+from repro.core.metrics import ProbeSpec, run_kernel
 from repro.gpu import GPU
 from repro.sim.config import tiny_gpu
 from repro.workloads.suite import get_benchmark
@@ -75,7 +75,7 @@ class TestRunKernelIntegration:
     def test_extras_carry_sanitizer_stats(self):
         metrics = run_kernel(
             tiny_gpu(), get_benchmark("nn", SCALE),
-            sanitize=True, sanitize_interval=16)
+            probes=ProbeSpec(sanitize_interval=16))
         stats = metrics.extras["sanitizer"]
         assert stats["requests_in_flight"] == 0
         assert stats["requests_retired"] == stats["requests_tracked"] > 0
@@ -87,8 +87,8 @@ class TestRunKernelIntegration:
     def test_magic_memory_mode(self):
         config = tiny_gpu().with_magic_memory(200)
         metrics = run_kernel(
-            config, get_benchmark("nn", SCALE), sanitize=True,
-            sanitize_interval=1)
+            config, get_benchmark("nn", SCALE),
+            probes=ProbeSpec(sanitize_interval=1))
         stats = metrics.extras["sanitizer"]
         assert stats["requests_in_flight"] == 0
         assert stats["requests_retired"] == stats["requests_tracked"] > 0

@@ -18,7 +18,7 @@ import types
 
 import pytest
 
-from repro.core.metrics import run_kernel
+from repro.core.metrics import ProbeSpec, run_kernel
 from repro.errors import UsageError
 from repro.gpu import GPU
 from repro.sim.config import tiny_gpu
@@ -80,7 +80,7 @@ class TestWindowReconciliation:
         """The windowed L2 congestion reconciles with Section III output."""
         metrics = run_kernel(
             tiny_gpu(), get_benchmark("nn", SCALE),
-            timeline=True, timeline_window=100,
+            probes=ProbeSpec(timeline_window=100),
         )
         timeline = metrics.extras["timeline"]
         windows = timeline["windows"]
@@ -99,7 +99,7 @@ class TestWindowReconciliation:
     def test_bus_utilization_windows_average_to_aggregate(self):
         metrics = run_kernel(
             tiny_gpu(), get_benchmark("nn", SCALE),
-            timeline=True, timeline_window=100,
+            probes=ProbeSpec(timeline_window=100),
         )
         windows = metrics.extras["timeline"]["windows"]
         busy = sum(

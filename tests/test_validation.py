@@ -13,7 +13,20 @@ from repro.core.validation import (
     ValidationReport,
     validate_reproduction,
 )
+from repro.runner import BatchRunner
 from repro.sim.config import tiny_gpu
+
+
+class RecordingRunner(BatchRunner):
+    """Serial runner that keeps every batch it is handed."""
+
+    def __init__(self):
+        super().__init__(jobs=1, cache=None)
+        self.batches = []
+
+    def run(self, jobs):
+        self.batches.append(list(jobs))
+        return super().run(jobs)
 
 
 class TestReportStructure:
@@ -64,3 +77,19 @@ class TestFullBattery:
         by_name = {c.name: c for c in report.checks}
         assert by_name["fig1_curves_fall"].passed
         assert by_name["fig1_compute_flat"].passed
+
+
+class TestOneBatch:
+    def test_battery_is_one_batch_with_shared_baselines(self):
+        # Fig. 1 (8 kernels x (baseline + 4 latencies)), Sec. III (8
+        # baselines) and Sec. IV (6 configs x 8 kernels): 96 jobs, of
+        # which the 8 baseline runs appear three times.
+        runner = RecordingRunner()
+        report = validate_reproduction(
+            tiny_gpu(), iteration_scale=0.05, runner=runner)
+        assert len(runner.batches) == 1
+        assert len(runner.batches[0]) == 96
+        assert runner.last_stats.unique == 80
+        assert runner.last_stats.executed == 80
+        assert len(report.checks) == 9
+
