@@ -9,10 +9,8 @@ computed per benchmark.
 
 import pytest
 
-from repro.core.latency_breakdown import (
-    congestion_share,
-    measure_latency_breakdown,
-)
+from repro.core.latency_breakdown import breakdown_plan, congestion_share
+from repro.runner import run_plan
 
 #: One benchmark per bottleneck class.
 CASES = ("sc", "lbm", "leukocyte")
@@ -22,8 +20,8 @@ CASES = ("sc", "lbm", "leukocyte")
 def test_ext_latency_breakdown(benchmark, baseline_config, scale, save_report):
     def run():
         return {
-            name: measure_latency_breakdown(
-                baseline_config, name, iteration_scale=scale)
+            name: run_plan(breakdown_plan(
+                baseline_config, name, iteration_scale=scale))
             for name in CASES
         }
 

@@ -3,8 +3,8 @@ the cheapest fix?
 
 Three analyses beyond the paper's headline results, chained together:
 
-1. classify every suite benchmark's dominant bottleneck from its
-   congestion signature;
+1. name every suite benchmark's bottleneck from its blame profile
+   (compute, latency or the Table I level: l1, l2, dram);
 2. break one memory-bound benchmark's average miss round trip into
    per-hop segments (which queue adds the cycles?);
 3. rank the Section IV configurations by gain-per-cost and print the
@@ -18,14 +18,15 @@ Usage::
 import sys
 
 from repro import (
+    breakdown_plan,
     congestion_share,
     cost_effectiveness,
-    diagnose_suite,
+    diagnosis_plan,
     explore_design_space,
-    measure_latency_breakdown,
     pareto_frontier,
     render_cost_effectiveness,
     render_diagnoses,
+    run_plan,
     small_gpu,
 )
 from repro.core.explorer import SECTION_IV_CONFIGS
@@ -36,18 +37,14 @@ def main() -> None:
     config = small_gpu()
 
     print("=== 1. bottleneck classification ===", flush=True)
-    diagnoses = diagnose_suite(config, iteration_scale=scale)
+    diagnoses = run_plan(diagnosis_plan(config, iteration_scale=scale))
     print(render_diagnoses(diagnoses))
 
     print("\n=== 2. latency breakdown of the most cache-congested "
           "benchmark ===", flush=True)
-    cache_bound = [
-        d.benchmark for d in diagnoses
-        if d.bottleneck.value == "l1_l2_bandwidth"
-    ]
+    cache_bound = [d.benchmark for d in diagnoses if d.bottleneck == "l2"]
     target = cache_bound[0] if cache_bound else "sc"
-    breakdown = measure_latency_breakdown(
-        config, target, iteration_scale=scale)
+    breakdown = run_plan(breakdown_plan(config, target, iteration_scale=scale))
     print(breakdown.to_table())
     print(f"congestion share of the round trip: "
           f"{congestion_share(breakdown, config):.0%}")

@@ -3,7 +3,8 @@
 Runs the `lbm` model (a DRAM-heavy streaming stencil) on the default
 reduced-scale GTX480-like configuration and prints the metrics the paper's
 characterization is built from: IPC, cache hit rates, the average L1 miss
-round trip, and how full each memory-system queue ran.
+round trip, how full each memory-system queue ran, and the bottleneck
+``repro diagnose`` names from the run's blame profile.
 
 Usage::
 
@@ -12,7 +13,8 @@ Usage::
 
 import sys
 
-from repro import get_benchmark, run_kernel, small_gpu
+from repro import BatchRunner, diagnose, small_gpu
+from repro.core.profile import profile_plan
 
 def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "lbm"
@@ -21,7 +23,10 @@ def main() -> None:
     config = small_gpu()
     print(f"Simulating {benchmark!r} (iteration scale {scale}) on "
           f"{config.core.n_sms} SMs / {config.n_partitions} partitions ...")
-    metrics = run_kernel(config, get_benchmark(benchmark, scale))
+    # A profiled run: its metrics plus the blame that names the bottleneck.
+    plan = profile_plan(config, benchmark, iteration_scale=scale)
+    [metrics] = BatchRunner.serial().run(plan.jobs)
+    document = plan.fold([metrics])
 
     print(f"\n  cycles               {metrics.cycles:>10}")
     print(f"  instructions         {metrics.instructions:>10}")
@@ -37,17 +42,8 @@ def main() -> None:
     print(f"\n  DRAM row-buffer hit rate {metrics.dram_row_hit_rate:.1%}, "
           f"data-bus utilization {metrics.dram_bus_utilization:.1%}")
 
-    # A one-line bottleneck diagnosis from the congestion signature.
-    if metrics.dram_schedq.full_fraction > 0.5:
-        verdict = "DRAM bandwidth"
-    elif metrics.l2_accessq.full_fraction > 0.3 or \
-            metrics.l2_respq.full_fraction > 0.3:
-        verdict = "the L1<->L2 cache hierarchy bandwidth"
-    elif metrics.l1_avg_miss_latency > 300:
-        verdict = "memory latency"
-    else:
-        verdict = "computation (memory system keeps up)"
-    print(f"\n  Dominant constraint: {verdict}")
+    # The bottleneck, read off the same run's blame profile.
+    print(f"\n  Dominant constraint: {diagnose(document).bottleneck}")
 
 
 if __name__ == "__main__":

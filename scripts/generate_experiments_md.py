@@ -8,7 +8,6 @@ import sys
 import time
 
 from repro import PAPER_SUITE, analyze_synergy, render_table_i, small_gpu
-from repro.core.bottleneck import diagnosis_plan, render_diagnoses
 from repro.core.congestion import congestion_plan
 from repro.core.cost_model import (
     cost_effectiveness,
@@ -20,6 +19,13 @@ from repro.core.latency_profile import (
     IDEAL_DRAM_LATENCY,
     IDEAL_L2_LATENCY,
     latency_profile_plan,
+)
+from repro.core.profile import (
+    config_for_label,
+    counterfactual_agrees,
+    diagnosis_plan,
+    profile_plan,
+    render_diagnoses,
 )
 from repro.core.report import (
     PAPER_AVG_GAINS,
@@ -33,6 +39,7 @@ SCALE = float(sys.argv[1]) if len(sys.argv) > 1 else 1.0
 OUT = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
 
 
+
 def main() -> None:
     config = small_gpu()
     t0 = time.time()  # noqa: REP001 - host wall timing, not simulated time
@@ -40,12 +47,17 @@ def main() -> None:
     # One batch: the baseline runs all four experiments need execute once.
     print("running Figure 1, Section III, Section IV and bottleneck "
           "classification ...", flush=True)
-    *profiles, congestion, result, diagnoses = run_plan(combine([
+    *profiles, congestion, result, diagnoses, cfd = run_plan(combine([
         *(latency_profile_plan(name, config, range(0, 801, 100), SCALE)
           for name in PAPER_SUITE),
         congestion_plan(config, iteration_scale=SCALE),
         exploration_plan(config, iteration_scale=SCALE),
         diagnosis_plan(config, iteration_scale=SCALE),
+        combine([
+            profile_plan(config_for_label(config, label), "cfd",
+                         config_label=label, iteration_scale=SCALE)
+            for label in ("baseline", "l2", "dram")
+        ]),
     ]))
     by_name = {p.benchmark: p for p in profiles}
     synergy = analyze_synergy(result)
@@ -186,6 +198,34 @@ def main() -> None:
     w("```")
     w(render_diagnoses(diagnoses))
     w("```")
+    w("")
+    missed = [d.benchmark for d in diagnoses
+              if not counterfactual_agrees(d, result)]
+    w(f"Counterfactual check against the Section IV matrix: "
+      f"{len(diagnoses) - len(missed)} of {len(diagnoses)} verdicts name "
+      "the level whose isolated scaling gains most (`compute` and "
+      "`latency`: no level gains over 15%). Disagreeing: "
+      f"{', '.join(missed) or 'none'}.")
+    w("")
+    base, l2_only, dram_only = cfd
+    threshold = base["blame_threshold"]
+    dram_windows = [x for x in base["windows"] if x["blame"]["dram"]]
+    both = sum(max(x["signals"]["l2"], x["signals"]["icnt"]) >= threshold
+               for x in dram_windows)
+    w(f"**cfd** needs both levels. `diagnose` names DRAM (blame dram "
+      f"{base['blame']['dram']:,} vs crossbar {base['blame']['icnt']:,} "
+      f"stall cycles), yet isolated L2 scaling gives "
+      f"{result.speedup('l2', 'cfd'):.3f}x, DRAM "
+      f"{result.speedup('dram', 'cfd'):.3f}x and L2+DRAM "
+      f"{result.speedup('l2+dram', 'cfd'):.2f}x. Scaling one level moves "
+      f"the blame to the other: with L2 scaled, DRAM takes "
+      f"{l2_only['blame']['dram']:,} of {sum(l2_only['blame'].values()):,} "
+      f"blamed cycles; with DRAM scaled, the crossbar takes "
+      f"{dram_only['blame']['icnt']:,} of "
+      f"{sum(dram_only['blame'].values()):,}. The deepest-first blame rule "
+      f"hides the second level: in {both} of the {len(dram_windows)} "
+      "DRAM-blamed windows the crossbar or L2 was over the "
+      f"{threshold:.0%} threshold too.")
     w("")
     w("### Cost-effectiveness (the paper's stated future work)")
     w("")

@@ -50,16 +50,11 @@ from repro.core.explorer import (
     sweep_parameter,
 )
 from repro.core.synergy import SynergyAnalysis, analyze_synergy
-from repro.core.latency_breakdown import (
-    LatencyBreakdown,
-    congestion_share,
-    measure_latency_breakdown,
-)
-from repro.core.bottleneck import (
-    Bottleneck,
+from repro.core.latency_breakdown import breakdown_plan, congestion_share
+from repro.core.profile import (
     Diagnosis,
-    classify,
-    diagnose_suite,
+    diagnose,
+    diagnosis_plan,
     render_diagnoses,
 )
 from repro.core.cost_model import (
@@ -82,7 +77,7 @@ from repro.runner import BatchRunner, Job, Plan, ResultCache, code_version, run_
 from repro.workloads.program import KernelProgram
 from repro.workloads.synthetic import SyntheticKernelSpec, build_kernel
 from repro.workloads.suite import BENCHMARKS, PAPER_SUITE, SPECS, get_benchmark
-from repro.telemetry import RequestTracer, TimeSeriesProbe
+from repro.telemetry import LatencyBreakdown, RequestTracer, TimeSeriesProbe
 
 __version__ = "1.0.0"
 
@@ -118,12 +113,11 @@ __all__ = [
     "SynergyAnalysis",
     "analyze_synergy",
     "LatencyBreakdown",
+    "breakdown_plan",
     "congestion_share",
-    "measure_latency_breakdown",
-    "Bottleneck",
     "Diagnosis",
-    "classify",
-    "diagnose_suite",
+    "diagnose",
+    "diagnosis_plan",
     "render_diagnoses",
     "DEFAULT_COSTS",
     "CostEffectiveness",

@@ -11,7 +11,7 @@ Every experiment in the paper can be regenerated from the shell::
     repro congestion                # Section III queue-occupancy study
     repro latency-profile           # Figure 1
     repro explore                   # Section IV design-space exploration
-    repro diagnose                  # classify each benchmark's bottleneck
+    repro diagnose                  # name each benchmark's bottleneck
     repro breakdown lbm             # per-hop latency breakdown of one kernel
     repro trace lbm --out trace.json  # Chrome/Perfetto trace of sampled requests
     repro replicate sc              # seed-sensitivity of one benchmark
@@ -28,10 +28,11 @@ Every experiment in the paper can be regenerated from the shell::
     repro cancel ID --socket repro.sock
 
 All experiment commands accept ``--scale`` (iteration scale, default 1.0;
-smaller is faster), ``--config`` (small / fermi / tiny) and ``--seed``.
+smaller is faster) and ``--config`` (small / fermi / tiny); each accepts
+``--seed``, ``--seeds`` or ``--benchmarks`` only where it reads them.
 
-Every command that simulates (except ``breakdown``) runs through the
-batch runner and additionally accepts ``--jobs N`` (process-pool fan-out;
+Every command that simulates runs through the batch runner and
+additionally accepts ``--jobs N`` (process-pool fan-out;
 ``--jobs 1`` stays in-process), ``--no-cache`` and ``--cache-dir``.  The
 experiment commands (``congestion``, ``latency-profile``, ``explore``,
 ``diagnose``, ``replicate``, ``validate``) share one flag group and one
@@ -90,20 +91,18 @@ import os
 import sys
 from collections.abc import Sequence
 
-from repro.core.bottleneck import diagnosis_plan, render_diagnoses
 from repro.core.congestion import congestion_plan
-from repro.core.latency_breakdown import (
-    congestion_share,
-    measure_latency_breakdown,
-)
+from repro.core.latency_breakdown import breakdown_plan, congestion_share
 from repro.core.design_space import render_table_i
 from repro.core.explorer import exploration_plan
 from repro.core.latency_profile import latency_profile_plan
 from repro.core.metrics import ProbeSpec, RunMetrics
 from repro.core.profile import (
     config_for_label,
+    diagnosis_plan,
     profile_diff,
     profile_plan,
+    render_diagnoses,
     sweep_matrix,
 )
 from repro.core.replication import replication_plan
@@ -164,12 +163,17 @@ def _add_config(parser: argparse.ArgumentParser) -> None:
         help="benchmark iteration scale; < 1 runs faster (default: 1.0)")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, *, seed: bool = True,
+    benchmarks: bool = True,
+) -> None:
     _add_config(parser)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--benchmarks", nargs="*", default=list(PAPER_SUITE),
-        metavar="NAME", help="subset of the suite to run")
+    if seed:
+        parser.add_argument("--seed", type=int, default=1)
+    if benchmarks:
+        parser.add_argument(
+            "--benchmarks", nargs="*", default=list(PAPER_SUITE),
+            metavar="NAME", help="subset of the suite to run")
 
 
 def _add_sweep(parser: argparse.ArgumentParser) -> None:
@@ -444,8 +448,9 @@ def _render_replicate(report) -> str:
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
     config = _config(args)
-    breakdown = measure_latency_breakdown(
+    plan = breakdown_plan(
         config, args.benchmark, iteration_scale=args.scale, seed=args.seed)
+    breakdown = plan.fold(_run_jobs(args, plan.jobs))
     print(breakdown.to_table())
     share = congestion_share(breakdown, config)
     print(
@@ -726,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-out", default=None, metavar="PATH",
         help="also dump the raw pstats profile data to PATH (for "
              "snakeviz / pstats post-processing; implies profiling)")
-    _add_common(run)
+    _add_common(run, benchmarks=False)
     _add_runner(run)
     run.set_defaults(func=_cmd_run)
 
@@ -749,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the profile (or diff) document as JSON to PATH")
-    _add_common(profile)
+    _add_common(profile, benchmarks=False)
     _add_runner(profile)
     profile.set_defaults(func=_cmd_profile)
 
@@ -768,7 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--limit", type=int, default=DEFAULT_TRACE_LIMIT, metavar="N",
         help="cap on traced requests (default: 4096)")
-    _add_common(trace)
+    _add_common(trace, benchmarks=False)
     _add_runner(trace)
     trace.set_defaults(func=_cmd_trace)
 
@@ -801,9 +806,10 @@ def build_parser() -> argparse.ArgumentParser:
              "justifications of surviving entries) and exit 0")
     lint.set_defaults(func=_cmd_lint)
 
-    def _add_experiment(name, help, plan, render, passed=lambda _: True):
+    def _add_experiment(name, help, plan, render, passed=lambda _: True,
+                        **flags):
         parser = sub.add_parser(name, help=help)
-        _add_common(parser)
+        _add_common(parser, **flags)
         _add_runner(parser)
         parser.set_defaults(
             func=_cmd_experiment, plan=plan, render=render, passed=passed)
@@ -833,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
         _render_explore)
 
     _add_experiment(
-        "diagnose", "classify each benchmark's dominant bottleneck",
+        "diagnose", "name each benchmark's bottleneck from its blame profile",
         lambda args, config: diagnosis_plan(
             config, args.benchmarks, args.scale, args.seed),
         render_diagnoses)
@@ -841,7 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
     breakdown = sub.add_parser(
         "breakdown", help="per-hop latency breakdown of one benchmark")
     breakdown.add_argument("benchmark", choices=sorted(SPECS))
-    _add_common(breakdown)
+    _add_common(breakdown, benchmarks=False)
+    _add_runner(breakdown)
     breakdown.set_defaults(func=_cmd_breakdown)
 
     repl = _add_experiment(
@@ -849,10 +856,12 @@ def build_parser() -> argparse.ArgumentParser:
         lambda args, config: replication_plan(
             config, args.benchmark, seeds=args.seeds,
             iteration_scale=args.scale),
-        _render_replicate)
+        _render_replicate, seed=False, benchmarks=False)
     repl.add_argument("benchmark", choices=sorted(SPECS))
     repl.add_argument(
         "--seeds", nargs="*", type=int, default=[1, 2, 3, 4, 5])
+    # replicate has no --seed: reject it rather than read it as --seeds.
+    repl.allow_abbrev = False
 
     export = sub.add_parser(
         "export", help="run the suite and export metrics as CSV or JSON")
@@ -871,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         lambda args, config: validation_plan(
             config, iteration_scale=args.scale, seed=args.seed),
         lambda report: report.to_table(),
-        lambda report: report.passed)
+        lambda report: report.passed, benchmarks=False)
 
     cache = sub.add_parser(
         "cache", help="inspect, clear or size-bound the on-disk result cache")

@@ -21,8 +21,8 @@ from repro.core.design_space import (
 )
 from repro.core.explorer import ExplorationResult, explore_design_space
 from repro.core.synergy import SynergyAnalysis, analyze_synergy
-from repro.core.latency_breakdown import LatencyBreakdown, measure_latency_breakdown
-from repro.core.bottleneck import Bottleneck, Diagnosis, classify, diagnose_suite
+from repro.core.latency_breakdown import breakdown_plan
+from repro.core.profile import Diagnosis, diagnose, diagnosis_plan
 from repro.core.cost_model import cost_effectiveness, pareto_frontier
 from repro.core.scaling_curve import ScalingCurve, sweep_scaling_coefficient
 from repro.core.replication import Replication, ReplicationReport, replicate
@@ -44,12 +44,10 @@ __all__ = [
     "explore_design_space",
     "SynergyAnalysis",
     "analyze_synergy",
-    "LatencyBreakdown",
-    "measure_latency_breakdown",
-    "Bottleneck",
+    "breakdown_plan",
     "Diagnosis",
-    "classify",
-    "diagnose_suite",
+    "diagnose",
+    "diagnosis_plan",
     "cost_effectiveness",
     "pareto_frontier",
     "ScalingCurve",

@@ -272,7 +272,7 @@ def run_kernel(
     invariant; its counters land in ``RunMetrics.extras['sanitizer']``.
     A :class:`repro.telemetry.TimeSeriesProbe` fills ``extras['timeline']``,
     a :class:`repro.telemetry.RequestTracer` ``extras['trace']`` (Chrome
-    trace) and ``extras['trace_hops']``, and an
+    trace), ``extras['trace_hops']`` and ``extras['breakdown']``, and an
     :class:`repro.telemetry.AttributionProbe` ``extras['attribution']``
     (the data behind ``repro profile``).  Without probes the run is
     bit-identical to an uninstrumented one.
@@ -319,6 +319,7 @@ def run_kernel(
     if tracer is not None:
         metrics.extras["trace"] = tracer.to_chrome_trace()
         metrics.extras["trace_hops"] = tracer.hop_summary()
+        metrics.extras["breakdown"] = tracer.latency_breakdown()
     if attributor is not None:
         metrics.extras["attribution"] = attributor.summary()
     return metrics

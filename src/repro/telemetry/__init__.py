@@ -14,8 +14,8 @@ instrument:
 * :class:`RequestTracer` — deterministic stride sampling of
   factory-issued requests; converts their per-hop ``timestamps`` into
   Chrome trace-event JSON (one track per component, loadable in
-  chrome://tracing or https://ui.perfetto.dev) and a per-hop latency
-  histogram registry.
+  chrome://tracing or https://ui.perfetto.dev), a per-hop latency
+  histogram registry and a streamed :class:`LatencyBreakdown`.
 * :class:`AttributionProbe` — top-down cycle accounting (every SM cycle
   classified issue / issue-starved / no-ready-warp / drained with exact
   conservation) plus per-window blame chains that walk downstream
@@ -44,6 +44,8 @@ from repro.telemetry.timeseries import (
 from repro.telemetry.tracer import (
     DEFAULT_TRACE_LIMIT,
     DEFAULT_TRACE_STRIDE,
+    SEGMENTS,
+    LatencyBreakdown,
     RequestTracer,
     hop_track,
 )
@@ -55,8 +57,10 @@ __all__ = [
     "DEFAULT_TRACE_LIMIT",
     "DEFAULT_TRACE_STRIDE",
     "DEFAULT_WINDOW",
+    "SEGMENTS",
     "AttributionProbe",
     "AttributionWindow",
+    "LatencyBreakdown",
     "RequestTracer",
     "TimeSeriesProbe",
     "WindowSample",

@@ -16,25 +16,86 @@ after the run, converts each sampled request's itinerary into:
 * a **hop-latency histogram registry** — a
   :class:`~repro.utils.stats.Histogram` per hop pair, for latency-tail
   questions ("how long do requests sit between ``l2_miss`` and
-  ``dram_in``?") that per-run means cannot answer.
+  ``dram_in``?") that per-run means cannot answer;
+* a streamed :class:`LatencyBreakdown` — each sampled load is folded
+  into the :data:`SEGMENTS` averages once it has its ``l1_fill`` stamp
+  and has retired, then dropped, so retention is bounded by the requests
+  in flight, not by run length.
 
 The tracer chains onto the request factory's existing creation listener
-(so it composes with the :mod:`repro.analysis` sanitizer) and holds at
-most ``limit`` requests; past the cap it only counts, so memory stays
-bounded on long runs.
+(so it composes with the :mod:`repro.analysis` sanitizer) and keeps at
+most ``limit`` requests for the Chrome trace; past the cap it only
+counts, so memory stays bounded on long runs.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 
 from repro.errors import UsageError
-from repro.utils.stats import Histogram
+from repro.utils.stats import Accumulator, Histogram
+from repro.utils.tables import render_table
 
 #: Default stride between sampled requests (1 = trace everything).
 DEFAULT_TRACE_STRIDE = 16
-#: Default cap on retained requests.
+#: Default cap on requests kept for the Chrome trace.
 DEFAULT_TRACE_LIMIT = 4_096
+#: Requests the breakdown holds before sweeping out retired ones.
+SWEEP_FLOOR = 256
+
+#: Latency-breakdown segment of the L1 miss -> fill round trip ->
+#: (start hop, end hop).
+SEGMENTS: dict[str, tuple[str, str]] = {
+    "l1_to_l2": ("l1_miss", "l2_in"),  # L1 miss queue + request crossbar
+    "l2_queue": ("l2_in", "l2_probed"),  # access queue + bank pipeline
+    "l2_to_dram": ("l2_miss", "dram_in"),  # L2 miss queue admission
+    "dram_service": ("dram_in", "dram_done"),  # sched queue + bank + bus
+    "dram_to_l2": ("dram_done", "l2_out"),  # return queue, fill, data port
+    "l2_hit_out": ("l2_probed", "l2_out"),  # data port + response queue
+    "response_network": ("l2_out", "l1_fill"),  # response crossbar + network
+}
+
+
+@dataclass
+class LatencyBreakdown:
+    """Average per-segment latencies of one run's completed loads."""
+
+    benchmark: str = ""
+    #: segment -> Accumulator over requests that traversed it.
+    segments: dict[str, Accumulator] = field(default_factory=dict)
+    total_l2_hit: Accumulator = field(
+        default_factory=lambda: Accumulator("total_l2_hit"))
+    total_l2_miss: Accumulator = field(
+        default_factory=lambda: Accumulator("total_l2_miss"))
+
+    def observe(self, request) -> None:
+        """Fold one completed load's timestamps into the breakdown."""
+        for name, (start, end) in SEGMENTS.items():
+            delta = request.latency(start, end)
+            if delta is not None:
+                self.segments.setdefault(name, Accumulator(name)).add(delta)
+        total = request.latency("l1_miss", "l1_fill")
+        if total is None:
+            return
+        if request.l2_miss:
+            self.total_l2_miss.add(total)
+        else:
+            self.total_l2_hit.add(total)
+
+    def mean(self, segment: str) -> float:
+        acc = self.segments.get(segment)
+        return acc.mean if acc else 0.0
+
+    def to_table(self) -> str:
+        rows = [(name, self.segments[name])
+                for name in SEGMENTS if name in self.segments]
+        rows += [("TOTAL (L2 hits)", self.total_l2_hit),
+                 ("TOTAL (L2 misses)", self.total_l2_miss)]
+        return render_table(
+            ["segment", "avg cycles", "requests"],
+            [[name, f"{acc.mean:.1f}", acc.count] for name, acc in rows],
+            title=f"Latency breakdown: {self.benchmark}")
 
 
 def hop_track(hop: str, request, mapper=None) -> str:
@@ -75,8 +136,8 @@ class RequestTracer:
     stride:
         Keep every ``stride``-th factory-created request.
     limit:
-        Hard cap on retained requests (later samples are counted but not
-        stored).
+        Cap on requests kept for the Chrome trace (0 keeps none; later
+        samples are only counted); the breakdown sees every sample.
     """
 
     def __init__(
@@ -88,12 +149,16 @@ class RequestTracer:
     ) -> None:
         if stride < 1:
             raise UsageError(f"trace stride must be >= 1, got {stride}")
-        if limit < 1:
-            raise UsageError(f"trace limit must be >= 1, got {limit}")
+        if limit < 0:
+            raise UsageError(f"trace limit must be >= 0, got {limit}")
         self._mapper = mapper
         self.stride = stride
         self.limit = limit
         self._traced: list = []
+        #: Sampled requests not yet folded into the breakdown.
+        self._inflight: list = []
+        self._sweep_at = SWEEP_FLOOR
+        self._breakdown = LatencyBreakdown()
         #: Factory-created requests observed (sampled or not).
         self.created = 0
         #: Samples skipped because the retention cap was hit.
@@ -112,6 +177,7 @@ class RequestTracer:
     ) -> "RequestTracer":
         """Attach to a built GPU, chaining any existing factory listener."""
         tracer = cls(gpu.mapper, stride=stride, limit=limit)
+        tracer._breakdown.benchmark = gpu.kernel.name
         previous = gpu.factory.listener
 
         def listener(request):
@@ -131,14 +197,40 @@ class RequestTracer:
         self.created += 1
         if index % self.stride:
             return
+        self._inflight.append(request)
+        if len(self._inflight) >= self._sweep_at:
+            self._fold_retired()
         if len(self._traced) >= self.limit:
             self.overflowed += 1
             return
         self._traced.append(request)
 
+    def _fold_retired(self) -> None:
+        """Fold retired loads, drop every retired request; sweep again
+        once the survivors have doubled."""
+        observe = self._breakdown.observe
+        inflight = []
+        for request in self._inflight:
+            if not request.retired:
+                inflight.append(request)
+            elif "l1_fill" in request.timestamps:
+                observe(request)
+        self._inflight = inflight
+        self._sweep_at = max(SWEEP_FLOOR, 2 * len(inflight))
+
     @property
     def sampled(self) -> int:
         return len(self._traced)
+
+    @property
+    def pending(self) -> int:
+        """Sampled requests the breakdown holds, not yet seen retired."""
+        return len(self._inflight)
+
+    def latency_breakdown(self) -> LatencyBreakdown:
+        """The breakdown over every sampled load retired so far."""
+        self._fold_retired()
+        return self._breakdown
 
     @property
     def requests(self) -> list:

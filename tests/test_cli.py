@@ -21,6 +21,23 @@ class TestParser:
         assert args.config == "small"
         assert args.scale == 1.0
 
+    @pytest.mark.parametrize("argv", [
+        # A positional benchmark: --benchmarks would be ignored.
+        ["run", "nn", "--benchmarks", "sc"],
+        ["profile", "sc", "--benchmarks", "nn"],
+        ["trace", "nn", "--benchmarks", "sc"],
+        ["breakdown", "nn", "--benchmarks", "sc"],
+        # validate always runs the whole suite.
+        ["validate", "--benchmarks", "nn"],
+        # replicate reads --seeds.
+        ["replicate", "sc", "--seed", "3"],
+    ])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_suite(self, capsys):

@@ -3,13 +3,17 @@
 import pytest
 
 from repro.core.latency_breakdown import (
-    SEGMENTS,
-    LatencyBreakdown,
+    BREAKDOWN_PROBES,
+    breakdown_plan,
     congestion_share,
-    measure_latency_breakdown,
 )
+from repro.core.metrics import run_kernel
+from repro.gpu import GPU
 from repro.mem.request import AccessKind, MemoryRequest
+from repro.runner import Job, run_plan
 from repro.sim.config import tiny_gpu
+from repro.telemetry import SEGMENTS, LatencyBreakdown, RequestTracer
+from repro.workloads.suite import PAPER_SUITE, get_benchmark
 from repro.workloads.synthetic import SyntheticKernelSpec, build_kernel
 
 KERNEL = build_kernel(SyntheticKernelSpec(
@@ -54,7 +58,8 @@ class TestObserve:
 class TestEndToEnd:
     @pytest.fixture(scope="class")
     def breakdown(self):
-        return measure_latency_breakdown(tiny_gpu(), KERNEL)
+        metrics = run_kernel(tiny_gpu(), KERNEL, probes=BREAKDOWN_PROBES)
+        return metrics.extras["breakdown"]
 
     def test_totals_populated(self, breakdown):
         assert breakdown.total_l2_miss.count > 0
@@ -82,9 +87,35 @@ class TestEndToEnd:
         assert 0.0 <= share < 1.0
 
     def test_by_benchmark_name(self):
-        breakdown = measure_latency_breakdown(
-            tiny_gpu(), "nn", iteration_scale=0.1)
+        breakdown = run_plan(breakdown_plan(
+            tiny_gpu(), "nn", iteration_scale=0.1))
         assert breakdown.benchmark == "nn"
+
+
+class TestStreamedFromTracer:
+    """The tracer's streamed breakdown is complete and holds nothing."""
+
+    @pytest.mark.parametrize("name", PAPER_SUITE)
+    def test_totals_count_every_l1_miss(self, name):
+        # A breakdown that silently records nothing (or double counts)
+        # breaks this identity with the L1's own miss-latency count.
+        job = Job(tiny_gpu(), name, iteration_scale=0.1,
+                  probes=BREAKDOWN_PROBES)
+        metrics = job.execute()
+        breakdown = metrics.extras["breakdown"]
+        folded = breakdown.total_l2_hit.count + breakdown.total_l2_miss.count
+        assert folded == metrics.l1_miss_count > 0
+
+    @pytest.mark.parametrize("name", PAPER_SUITE)
+    def test_limit_zero_holds_no_request_after_the_run(self, name):
+        gpu = GPU(tiny_gpu(), get_benchmark(name, 0.1))
+        tracer = RequestTracer.attach(gpu, stride=1, limit=0)
+        gpu.run()
+        breakdown = tracer.latency_breakdown()
+        assert tracer.sampled == 0 and tracer.requests == []
+        assert tracer.pending == 0
+        assert tracer.created == tracer.overflowed > 0
+        assert breakdown.total_l2_miss.count + breakdown.total_l2_hit.count
 
 
 def test_segment_table_is_complete():

@@ -308,7 +308,8 @@ class TestBatchRunnerPool:
         pooled = BatchRunner(jobs=2).run(jobs)
         for job, metrics in zip(jobs, pooled):
             assert set(metrics.extras) == {
-                "sanitizer", "timeline", "trace", "trace_hops", "attribution"}
+                "sanitizer", "timeline", "trace", "trace_hops", "breakdown",
+                "attribution"}
             assert metrics.extras == job.execute().extras
 
     def test_pool_populates_cache(self, tmp_path):
@@ -629,6 +630,7 @@ class TestCLI:
           "--json", "{out}"], "{out}"),
         (["trace", "nn", *TINY, "--stride", "1", "--out", "{out}"],
          "{out}"),
+        (["breakdown", "lbm", *TINY], None),
     ]
 
     def test_jobs_1_jobs_4_and_warm_cache_are_byte_identical(

@@ -213,7 +213,7 @@ class TestChromeTrace:
         with pytest.raises(UsageError):
             RequestTracer(stride=0)
         with pytest.raises(UsageError):
-            RequestTracer(limit=0)
+            RequestTracer(limit=-1)
 
     def test_hop_summary_digest(self):
         _gpu, tracer = _run_traced()
