@@ -19,7 +19,7 @@ import pathlib
 import pytest
 
 from repro import small_gpu
-from repro.core.explorer import explore_design_space
+from repro.core.validation import validate_reproduction
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -52,14 +52,24 @@ def save_report():
     return _save
 
 
-_EXPLORATION_CACHE: dict = {}
+@pytest.fixture(scope="session")
+def validation(baseline_config):
+    """Fig. 1, Sec. III and Sec. IV as one battery, run once per session."""
+    return validate_reproduction(
+        baseline_config, iteration_scale=SCALE, seed=SEED,
+        latencies=range(0, 801, 100))
 
 
 @pytest.fixture(scope="session")
-def section_iv_exploration(baseline_config):
-    """The Section IV experiment matrix, computed once per session."""
-    key = (SCALE, SEED)
-    if key not in _EXPLORATION_CACHE:
-        _EXPLORATION_CACHE[key] = explore_design_space(
-            baseline_config, iteration_scale=SCALE, seed=SEED)
-    return _EXPLORATION_CACHE[key]
+def section_iv_exploration(validation):
+    """The Section IV experiment matrix, as the battery ran it."""
+    return validation.battery.exploration
+
+
+@pytest.fixture
+def check(benchmark, validation, claim_id):
+    """One claim's verdict from the battery, recorded as a benchmark."""
+    verdict = benchmark.pedantic(
+        validation.check, (claim_id,), rounds=1, iterations=1)
+    benchmark.extra_info["evidence"] = verdict.evidence
+    return verdict

@@ -2,89 +2,28 @@
 
 Regenerates the paper's latency-tolerance profile for the full suite:
 IPC under a fixed-latency memory system (x = 0..800 cycles), normalized
-to the true baseline.  Asserts the paper's two observations:
-
-1. baseline performance is far from the low-latency plateau for the
-   memory-intensive benchmarks (normalized IPC at latency 0 well above 1);
-2. the 1.0x intercept — the effective baseline latency — lies above the
-   unloaded L2 round trip (~120 cy) for every memory-bound benchmark, and
-   above the unloaded DRAM round trip for the most congested ones.
+to the true baseline.  Each Figure 1 row of the claim table
+(`repro.core.validation.CLAIMS`) is one test: the curves fall, the
+compute-bound curve is flat, the memory-bound kernels sit far from their
+plateau, and the 1.0x intercepts — the effective baseline latencies —
+lie beyond the unloaded L2 and DRAM round trips.
 """
 
 import pytest
 
-from repro import PAPER_SUITE, profile_latency_tolerance
-from repro.core.latency_profile import IDEAL_DRAM_LATENCY, IDEAL_L2_LATENCY
 from repro.core.report import render_figure1
-
-LATENCIES = tuple(range(0, 801, 100))
-
-#: Benchmarks the paper's figure shows as strongly latency/bandwidth bound.
-MEMORY_BOUND = ("cfd", "dwt2d", "nn", "sc", "lbm", "ss")
-#: The compute-bound outlier with the flattest curve.
-COMPUTE_BOUND = "leukocyte"
+from repro.core.validation import CLAIMS
 
 
 @pytest.mark.benchmark(group="fig1")
-def test_fig1_latency_tolerance(benchmark, baseline_config, scale, save_report):
-    def run():
-        return [
-            profile_latency_tolerance(
-                name, baseline_config, latencies=LATENCIES,
-                iteration_scale=scale)
-            for name in PAPER_SUITE
-        ]
+@pytest.mark.parametrize("claim_id", [c for c in CLAIMS if c.startswith("fig1")])
+def test_claim(check):
+    assert check.passed, check.evidence
 
-    profiles = benchmark.pedantic(run, rounds=1, iterations=1)
+
+@pytest.mark.benchmark(group="fig1")
+def test_fig1_latency_tolerance(benchmark, validation, save_report):
+    profiles = benchmark.pedantic(
+        lambda: list(validation.battery.profiles.values()),
+        rounds=1, iterations=1)
     save_report("fig1_latency_tolerance", render_figure1(profiles))
-
-    by_name = {p.benchmark: p for p in profiles}
-    for profile in profiles:
-        benchmark.extra_info[f"{profile.benchmark}_peak"] = round(
-            profile.peak_normalized_ipc, 2)
-        intercept = profile.intercept_latency()
-        benchmark.extra_info[f"{profile.benchmark}_intercept"] = (
-            None if intercept is None else round(intercept))
-        # Shape: every curve is non-increasing in latency (small tolerance
-        # for simulation noise).
-        ipcs = [pt.ipc for pt in profile.points]
-        for earlier, later in zip(ipcs, ipcs[1:]):
-            assert later <= earlier * 1.05, profile.benchmark
-
-    # Observation 1: memory-bound benchmarks sit far from their plateau.
-    for name in MEMORY_BOUND:
-        assert by_name[name].peak_normalized_ipc > 2.0, name
-    # The compute-bound benchmark barely moves.
-    assert by_name[COMPUTE_BOUND].peak_normalized_ipc < 1.5
-
-    # Observation 2: effective baseline latencies exceed the unloaded L2
-    # latency for all memory-bound benchmarks...
-    for name in MEMORY_BOUND:
-        intercept = by_name[name].intercept_latency()
-        assert intercept is not None and intercept > IDEAL_L2_LATENCY, name
-    # ...and exceed the unloaded DRAM latency for most (congestion).
-    beyond_dram = sum(
-        1 for name in MEMORY_BOUND
-        if by_name[name].intercept_latency() > IDEAL_DRAM_LATENCY
-    )
-    assert beyond_dram >= len(MEMORY_BOUND) - 1
-
-
-@pytest.mark.benchmark(group="fig1")
-def test_fig1_intercept_matches_measured_latency(
-    benchmark, baseline_config, scale
-):
-    """Methodology self-check: the 1.0x intercept independently estimates
-    the baseline's measured average L1 miss latency."""
-
-    def run():
-        return profile_latency_tolerance(
-            "sc", baseline_config, latencies=LATENCIES,
-            iteration_scale=scale)
-
-    profile = benchmark.pedantic(run, rounds=1, iterations=1)
-    intercept = profile.intercept_latency()
-    measured = profile.baseline_avg_miss_latency
-    benchmark.extra_info["intercept"] = round(intercept)
-    benchmark.extra_info["measured_avg_miss_latency"] = round(measured)
-    assert abs(intercept - measured) / measured < 0.35

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro import run_kernel, small_gpu, get_benchmark
 from repro.cores.coalescer import strided_lanes, unit_stride_lanes
+from repro.errors import SimulationError
 from repro.workloads.trace import (
     coalesce_lane_trace,
     load_trace,
@@ -46,7 +47,10 @@ def main() -> None:
     replayed = run_kernel(config, replay, seed=1)
     print(f"original: {original.cycles} cycles, IPC {original.ipc:.3f}")
     print(f"replayed: {replayed.cycles} cycles, IPC {replayed.ipc:.3f}")
-    assert replayed.cycles == original.cycles, "replay must be exact"
+    if replayed.cycles != original.cycles:
+        raise SimulationError(
+            f"replay must be exact: {replayed.cycles} cycles vs "
+            f"{original.cycles} recorded")
     print("replay is cycle-exact.")
 
     # 3. lane-level trace through the coalescer

@@ -17,19 +17,9 @@ from repro.core.latency_profile import (
     LatencyProfile,
 )
 from repro.core.synergy import SynergyAnalysis
+from repro.core.validation import paper_gains, paper_number
 from repro.utils.ascii_plot import line_plot, sparkline
 from repro.utils.tables import render_table
-
-#: Paper values for side-by-side comparison in reports.
-PAPER_AVG_GAINS: Mapping[str, float] = {
-    "l1": 0.04,
-    "l2": 0.59,
-    "dram": 0.11,
-    "l1+l2": 0.69,
-    "l2+dram": 0.76,
-}
-PAPER_L2_ACCESSQ_FULL = 0.46
-PAPER_DRAM_SCHEDQ_FULL = 0.39
 
 
 def render_figure1(profiles: Sequence[LatencyProfile], width: int = 78) -> str:
@@ -250,8 +240,9 @@ def render_profile(profile: Mapping) -> str:
         lines.append(
             f"\n{congestion / stall_total:.0%} of stall cycles blamed on "
             "downstream congestion (paper Sec. III: L2 access queues full "
-            f"{PAPER_L2_ACCESSQ_FULL:.0%}, DRAM sched queues full "
-            f"{PAPER_DRAM_SCHEDQ_FULL:.0%} of usage lifetime)"
+            f"{paper_number('sec3_l2_congested'):.0%}, DRAM sched queues "
+            f"full {paper_number('sec3_dram_congested'):.0%} of usage "
+            "lifetime)"
         )
     else:
         lines.append("Memory-pipeline stalls: none (compute-bound)")
@@ -304,12 +295,12 @@ def render_congestion(report: CongestionReport) -> str:
         (
             f"  L2 access queues full:  measured "
             f"{report.avg_l2_access_queue_full:.0%} of usage lifetime "
-            f"(paper: {PAPER_L2_ACCESSQ_FULL:.0%})"
+            f"(paper: {paper_number('sec3_l2_congested'):.0%})"
         ),
         (
             f"  DRAM sched queues full: measured "
             f"{report.avg_dram_queue_full:.0%} of usage lifetime "
-            f"(paper: {PAPER_DRAM_SCHEDQ_FULL:.0%})"
+            f"(paper: {paper_number('sec3_dram_congested'):.0%})"
         ),
     ]
     return "\n".join(lines)
@@ -321,7 +312,7 @@ def render_section_iv(
     """Section IV speedup summary with paper-value comparison."""
     parts = [result.to_table(), ""]
     rows = []
-    for label, paper in PAPER_AVG_GAINS.items():
+    for label, paper in paper_gains().items():
         if label not in result.runs:
             continue
         measured = result.average_gain(label)

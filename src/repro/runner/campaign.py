@@ -63,7 +63,7 @@ from collections.abc import Callable, Collection
 from pathlib import Path
 from typing import Any
 
-from repro.core.metrics import RunMetrics
+from repro.core.metrics import ProbeSpec, RunMetrics
 from repro.errors import RunnerError, UsageError
 from repro.runner.cache import ResultCache, _append_jsonl, _read_jsonl
 from repro.runner.events import EventLog
@@ -100,7 +100,8 @@ class WorkUnit:
     job: Job
 
     def to_payload(self) -> dict[str, Any]:
-        return {
+        """The unit as JSON; ``probes`` appears only when a spec is set."""
+        payload: dict[str, Any] = {
             "key": self.key,
             "kernel": self.job.kernel_name,
             "seed": self.job.seed,
@@ -108,6 +109,9 @@ class WorkUnit:
             "max_cycles": self.job.max_cycles,
             "config": dataclasses.asdict(self.job.config),
         }
+        if self.job.probes is not None:
+            payload["probes"] = dataclasses.asdict(self.job.probes)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "WorkUnit":
@@ -118,6 +122,9 @@ class WorkUnit:
                 seed=payload["seed"],
                 iteration_scale=payload["iteration_scale"],
                 max_cycles=payload["max_cycles"],
+                probes=(
+                    ProbeSpec(**payload["probes"])
+                    if "probes" in payload else None),
             )
             key = payload["key"]
         except (KeyError, TypeError) as exc:

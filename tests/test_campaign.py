@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.export import export_runs
+from repro.core.metrics import ProbeSpec
 from repro.errors import ConfigError, RunnerError, UsageError
 from repro.runner import (
     BatchRunner,
@@ -113,6 +114,17 @@ class TestManifest:
         unit = WorkUnit(key=_job().key(), job=_job())
         clone = WorkUnit.from_payload(unit.to_payload())
         assert clone == unit
+
+    def test_probe_job_survives_the_manifest(self, tmp_path):
+        probed = _job(probes=ProbeSpec(trace_stride=1, trace_limit=0))
+        camp = tmp_path / "camp"
+        created = CampaignManifest.create(camp, [probed, _job()])
+        assert CampaignManifest.load(camp).units == created.units
+        report = CampaignWorker(camp, worker="solo", jobs=1, poll=0.01).run(
+            wait=False)
+        assert report.executed == 2 and report.failed == 0
+        assert campaign_status(camp).complete
+        assert "probes" not in created.units[1].to_payload()
 
     def test_malformed_payload(self):
         payload = WorkUnit(key=_job().key(), job=_job()).to_payload()

@@ -1,4 +1,4 @@
-"""Report-rendering tests (paper-value constants and formatting)."""
+"""Report-rendering tests (the paper values reports read, and formatting)."""
 
 import pytest
 
@@ -9,26 +9,25 @@ from repro.core.latency_profile import (
     LatencyProfile,
 )
 from repro.core.metrics import run_kernel
-from repro.core.report import (
-    PAPER_AVG_GAINS,
-    PAPER_DRAM_SCHEDQ_FULL,
-    PAPER_L2_ACCESSQ_FULL,
-    render_figure1,
-)
+from repro.core.report import render_figure1
+from repro.core.validation import CLAIMS, paper_gains
 from repro.sim.config import tiny_gpu
 from repro.workloads.suite import get_benchmark
 
 
 class TestPaperConstants:
     def test_section_iv_gains_as_published(self):
-        assert PAPER_AVG_GAINS == {
-            "l1": 0.04, "l2": 0.59, "dram": 0.11,
-            "l1+l2": 0.69, "l2+dram": 0.76,
-        }
+        assert CLAIMS["sec4_l2_dominates"].paper == {
+            "l1": 0.04, "l2": 0.59, "dram": 0.11}
+        assert CLAIMS["sec4_superadditive"].paper == {
+            "l1+l2": 0.69, "l2+dram": 0.76}
+        assert list(paper_gains()) == [
+            "l1", "l2", "dram", "l1+l2", "l2+dram"]
 
     def test_section_iii_fractions_as_published(self):
-        assert PAPER_L2_ACCESSQ_FULL == 0.46
-        assert PAPER_DRAM_SCHEDQ_FULL == 0.39
+        assert CLAIMS["sec3_l2_congested"].paper == {"l2_accessq_full": 0.46}
+        assert CLAIMS["sec3_dram_congested"].paper == {
+            "dram_schedq_full": 0.39}
 
     def test_section_ii_ideal_latencies_as_published(self):
         assert IDEAL_L2_LATENCY == 120
