@@ -77,7 +77,7 @@ from repro.runner import BatchRunner, Job, Plan, ResultCache, code_version, run_
 from repro.workloads.program import KernelProgram
 from repro.workloads.synthetic import SyntheticKernelSpec, build_kernel
 from repro.workloads.suite import BENCHMARKS, PAPER_SUITE, SPECS, get_benchmark
-from repro.telemetry import LatencyBreakdown, RequestTracer, TimeSeriesProbe
+from repro.telemetry import LatencyBreakdown, RequestTracer, WindowSampler
 
 __version__ = "1.0.0"
 
@@ -142,7 +142,7 @@ __all__ = [
     "ResultCache",
     "code_version",
     "RequestTracer",
-    "TimeSeriesProbe",
+    "WindowSampler",
     "KernelProgram",
     "SyntheticKernelSpec",
     "build_kernel",

@@ -25,7 +25,7 @@ Checked contracts
 * **Cycle-accounting conservation** — a component exposing
   ``class.`` counters partitions its stepped cycles exhaustively:
   the class counts sum exactly to its total cycles, the invariant the
-  :mod:`repro.telemetry.attribution` layer is built on.
+  attribution view of :mod:`repro.telemetry.timeseries` is built on.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ Every experiment in the paper can be regenerated from the shell::
     repro table1                    # print Table I
     repro run lbm                   # run one benchmark, print its metrics
     repro run lbm --timeline        # ... plus per-window telemetry sparklines
+    repro run lbm --sanitize 1      # ... with invariant checks every cycle
     repro profile lbm               # top-down cycle accounting + blame chains
     repro profile lbm --diff baseline l2  # explain a speedup as reclaimed stalls
     repro congestion                # Section III queue-occupancy study
@@ -62,12 +63,15 @@ coalesce onto one simulation pass; the submission queue is bounded
 fetched from the daemon are byte-identical to a local ``repro export``
 of the same sweep.
 
-Observability: ``repro run --timeline`` attaches the
-:class:`repro.telemetry.TimeSeriesProbe` and renders cycle-windowed IPC /
-queue-congestion / occupancy sparklines (``--window`` sets the window
-length); ``repro profile`` attaches the
-:class:`repro.telemetry.AttributionProbe` and renders the top-down
-cycle-accounting tree plus back-pressure blame chains (``--diff A B``
+Observability: ``repro run --timeline [CYCLES]`` attaches a
+:class:`repro.telemetry.WindowSampler` and renders its timeline view as
+cycle-windowed IPC / queue-congestion / occupancy sparklines (the optional
+value is the window length, default 2000); ``repro run --sanitize
+[CYCLES]`` attaches the invariant sanitizer (the optional value is the
+epoch interval, default 64); ``repro profile`` attaches a
+:class:`repro.telemetry.WindowSampler` and renders its attribution view:
+the top-down cycle-accounting tree plus back-pressure blame chains
+(``--window`` sets the window length; ``--diff A B``
 explains the speedup between two Section IV config labels as reclaimed
 stall cycles; ``--json`` exports the document); ``repro trace`` attaches
 the :class:`repro.telemetry.RequestTracer` and writes Chrome trace-event
@@ -289,11 +293,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.magic_latency is not None:
         config = config.with_magic_memory(args.magic_latency)
     probes = None
-    if args.sanitize or args.timeline:
-        probes = ProbeSpec(
-            sanitize_interval=args.sanitize_interval if args.sanitize else None,
-            timeline_window=args.window if args.timeline else None,
-        )
+    if args.sanitize is not None or args.timeline is not None:
+        probes = ProbeSpec(sanitize_interval=args.sanitize,
+                           timeline_window=args.timeline)
     job = Job(config, args.benchmark, seed=args.seed,
               iteration_scale=args.scale, probes=probes)
     if args.profile_sim is not None or args.profile_out is not None:
@@ -707,20 +709,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--magic-latency", type=int, default=None,
         help="use the fixed-latency magic memory below L1 (Figure 1 mode)")
     run.add_argument(
-        "--sanitize", action="store_true",
+        "--sanitize", type=int, nargs="?", const=64, default=None,
+        metavar="CYCLES",
         help="attach the invariant sanitizer (request conservation, MSHR "
-             "leaks, queue bounds, deadlock); fails loudly on violations")
+             "leaks, queue bounds, deadlock) with CYCLES between epochs "
+             "(default: 64; 1 checks every cycle); fails loudly on "
+             "violations")
     run.add_argument(
-        "--sanitize-interval", type=int, default=64, metavar="CYCLES",
-        help="cycles between sanitizer epochs (default: 64; 1 checks "
-             "every cycle)")
-    run.add_argument(
-        "--timeline", action="store_true",
-        help="attach the telemetry probe and print per-window IPC / "
-             "queue-congestion / occupancy sparklines")
-    run.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW, metavar="CYCLES",
-        help="telemetry window length in cycles (default: 2000)")
+        "--timeline", type=int, nargs="?", const=DEFAULT_WINDOW,
+        default=None, metavar="CYCLES",
+        help="attach the window sampler and print per-window IPC / "
+             "queue-congestion / occupancy sparklines over windows of "
+             "CYCLES cycles (default: 2000)")
     run.add_argument(
         "--profile-sim", type=int, nargs="?", const=25, default=None,
         metavar="N",

@@ -20,9 +20,8 @@ from repro.sim.engine import DEFAULT_MAX_CYCLES
 from repro.telemetry import (
     DEFAULT_MAX_WINDOWS,
     DEFAULT_TRACE_LIMIT,
-    AttributionProbe,
     RequestTracer,
-    TimeSeriesProbe,
+    WindowSampler,
 )
 from repro.utils.means import arithmetic_mean
 from repro.workloads.program import KernelProgram
@@ -86,7 +85,7 @@ class RunMetrics:
     # --- core ---
     mem_pipeline_stall_cycles: int
     no_ready_warp_fraction: float
-    # --- cycle accounting (summed over SMs; see telemetry.attribution) ---
+    # --- cycle accounting (summed over SMs; see telemetry.timeseries) ---
     #: Total SM-cycles stepped (= cycles * SM count): the accounting
     #: denominator the four classes below partition exactly.
     sm_cycles: int = 0
@@ -270,12 +269,13 @@ def run_kernel(
     ``probes`` attaches observers.  A :class:`repro.analysis.Sanitizer`
     raises :class:`~repro.errors.SanitizerError` on any violated
     invariant; its counters land in ``RunMetrics.extras['sanitizer']``.
-    A :class:`repro.telemetry.TimeSeriesProbe` fills ``extras['timeline']``,
-    a :class:`repro.telemetry.RequestTracer` ``extras['trace']`` (Chrome
-    trace), ``extras['trace_hops']`` and ``extras['breakdown']``, and an
-    :class:`repro.telemetry.AttributionProbe` ``extras['attribution']``
-    (the data behind ``repro profile``).  Without probes the run is
-    bit-identical to an uninstrumented one.
+    One :class:`repro.telemetry.WindowSampler` per distinct window length
+    among ``timeline_window`` and ``attribution_window`` fills
+    ``extras['timeline']`` and ``extras['attribution']`` (the data behind
+    ``repro profile``) as two views of its windows, and a
+    :class:`repro.telemetry.RequestTracer` ``extras['trace']`` (Chrome
+    trace), ``extras['trace_hops']`` and ``extras['breakdown']``.  Without
+    probes the run is bit-identical to an uninstrumented one.
 
     A run that exhausts ``max_cycles`` is *not* silently averaged away:
     its statistics intervals are closed at the cut-off, the metrics carry
@@ -292,14 +292,19 @@ def run_kernel(
         from repro.analysis.sanitizer import Sanitizer
 
         sanitizer = Sanitizer.attach(gpu, interval=probes.sanitize_interval)
-    timeline = tracer = attributor = None
+    # Ring depth per window length: the deepest view of that sampler.
+    depths: dict[int, int] = {}
     if probes.attribution_window is not None:
-        attributor = AttributionProbe.attach(
-            gpu, window=probes.attribution_window)
+        depths[probes.attribution_window] = DEFAULT_MAX_WINDOWS
     if probes.timeline_window is not None:
-        timeline = TimeSeriesProbe.attach(
-            gpu, window=probes.timeline_window,
-            max_windows=probes.timeline_max_windows)
+        depths[probes.timeline_window] = max(
+            depths.get(probes.timeline_window, 0),
+            probes.timeline_max_windows)
+    samplers = {
+        window: WindowSampler.attach(gpu, window=window, max_windows=depth)
+        for window, depth in depths.items()
+    }
+    tracer = None
     if probes.trace_stride is not None:
         tracer = RequestTracer.attach(
             gpu, stride=probes.trace_stride, limit=probes.trace_limit)
@@ -314,12 +319,14 @@ def run_kernel(
         metrics = replace(metrics, truncated=True)
     if sanitizer is not None:
         metrics.extras["sanitizer"] = sanitizer.stats()
-    if timeline is not None:
-        metrics.extras["timeline"] = timeline.summary()
+    if probes.timeline_window is not None:
+        metrics.extras["timeline"] = samplers[probes.timeline_window].timeline(
+            probes.timeline_max_windows)
     if tracer is not None:
         metrics.extras["trace"] = tracer.to_chrome_trace()
         metrics.extras["trace_hops"] = tracer.hop_summary()
         metrics.extras["breakdown"] = tracer.latency_breakdown()
-    if attributor is not None:
-        metrics.extras["attribution"] = attributor.summary()
+    if probes.attribution_window is not None:
+        metrics.extras["attribution"] = samplers[
+            probes.attribution_window].attribution(DEFAULT_MAX_WINDOWS)
     return metrics

@@ -1,10 +1,11 @@
 """Top-down profile construction for ``repro profile``.
 
-:func:`profile_plan` runs one benchmark with the
-:class:`~repro.telemetry.AttributionProbe` attached and distils the
-result into a flat, JSON-ready profile document: the exact cycle-class
-partition, the memory-pipeline stall cycles by cause, and the blame
-vector charging each stalled cycle to the deepest congested stage.
+:func:`profile_plan` runs one benchmark with a
+:class:`~repro.telemetry.WindowSampler` attached and distils its
+attribution view into a flat, JSON-ready profile document: the exact
+cycle-class partition, the memory-pipeline stall cycles by cause, and
+the blame vector charging each stalled cycle to the deepest congested
+stage.
 
 :func:`profile_diff` subtracts two profiles of the same benchmark and
 explains a speedup the way Section IV narrates it: as stall cycles

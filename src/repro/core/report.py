@@ -76,8 +76,8 @@ _TIMELINE_WIDTH = 60
 def render_timeline(timeline: Mapping) -> str:
     """ASCII sparkline view of a telemetry timeline.
 
-    ``timeline`` is ``RunMetrics.extras['timeline']`` as produced by
-    :meth:`repro.telemetry.TimeSeriesProbe.summary`: one row per series,
+    ``timeline`` is ``RunMetrics.extras['timeline']``, the timeline view
+    of :meth:`repro.telemetry.WindowSampler.timeline`: one row per series,
     one character per window (long runs are bucket-averaged down to the
     display width), with the series' min/max printed alongside.
     """

@@ -1,42 +1,62 @@
-"""Cycle-windowed time series over the memory hierarchy.
+"""One windowed probe over the memory hierarchy: timeline and blame.
 
-:class:`TimeSeriesProbe` is a :class:`~repro.sim.engine.Simulator`
+:class:`WindowSampler` is a :class:`~repro.sim.engine.Simulator`
 observer (attached via ``Simulator.attach_observer``, like the
 :mod:`repro.analysis` sanitizer) that chops the run into fixed-cycle
-windows and records, per window:
+windows.  At each window boundary it walks every component's
+``counters`` once and stores one :class:`Window` record of deltas:
 
-* **IPC** — instructions issued in the window / window length;
-* **queue congestion** per Table I family (L1 miss queues, L2 access /
-  miss / response queues, DRAM scheduler and return queues): the full and
-  busy fractions *within the window* plus the instantaneous depth at the
-  window boundary;
-* **MSHR occupancy** for the L1 and L2 tables (fraction of entries held
-  at the boundary);
-* **DRAM bus utilization** — data-bus busy cycles in the window / window
-  cycles, averaged over channels;
-* raw **counter deltas** for every plain (unprefixed) ``counters``
-  source, so derived series (crossbar flits, L2 fills, ...) need no probe
-  changes.
+* the ``class.`` (cycle accounting), ``stall.`` (memory-pipeline stall
+  cycles by cause) and plain counters;
+* per Table I queue family (L1 miss queues, L2 access / miss / response
+  queues, DRAM scheduler and return queues), the full, busy, rejected
+  and pushed counts summed over the family's instances;
+* the instance counts, the queue fill levels and the L1/L2 MSHR
+  occupancy at the boundary.
 
-The probe is event-light: ``on_cycle`` is a modulo test except at window
-boundaries, where it snapshots the cumulative counters the components
-already maintain (the :class:`~repro.utils.stats.IntervalTracker` totals
-behind the Section III metrics) and stores the *deltas*.  Nothing is
-sampled per cycle, and attaching the probe never changes simulated
-behaviour.
+Nothing is sampled per cycle, and attaching the sampler never changes
+simulated behaviour.  Records land in a ring buffer (``max_windows``
+deep); beyond that the oldest are dropped and counted in
+:attr:`WindowSampler.dropped`, so long runs hold O(max_windows) memory.
+Because records store deltas, the retained windows reconcile exactly
+with the difference of the cumulative aggregates at their two edges.
 
-Windows land in a ring buffer (``max_windows`` deep); beyond that the
-oldest windows are dropped and counted in :attr:`TimeSeriesProbe.dropped`,
-so arbitrarily long runs hold O(max_windows) memory.  Because windows
-store cycle *deltas*, the retained windows always reconcile exactly with
-the difference of the cumulative aggregates at their two edges — the
-property the telemetry tests pin down.
+Two pure views fold over the records:
+
+* :meth:`WindowSampler.timeline` (``RunMetrics.extras['timeline']``) —
+  per window: IPC, the full and busy fractions and depths of every queue
+  family, MSHR occupancy, DRAM bus utilization and the plain counter
+  deltas (so derived series need no sampler changes).
+* :meth:`WindowSampler.attribution` (``RunMetrics.extras['attribution']``,
+  the data behind ``repro profile``) — top-down cycle accounting and
+  blame.  Every SM cycle falls in exactly one class: ``issue`` (an
+  instruction issued), ``issue_starved`` (ready warps, but the LD/ST
+  queue was full), ``no_ready_warp`` (every warp waits on memory) or
+  ``drained`` (the SM finished early).  The classes partition total
+  cycles exactly, also under fast-forward (the SM replays skipped cycles
+  into the same counters); the sanitizer checks the same invariant.
+
+Memory-pipeline stalls say *that* the SM was throttled, not *who* is
+responsible.  :func:`blame` charges each window's stalled cycles to the
+deepest stage whose congestion signal reaches the threshold:
+
+* ``dram`` — the DRAM scheduler queue (or the L2 miss queue feeding it)
+  was full for that fraction of the window;
+* ``l2`` — the L2 access queue was that congested;
+* ``icnt`` — the request crossbar spent that fraction of port-cycles
+  with a delivered tail flit blocked by its sink;
+* ``l1`` — an L1 miss queue filled with no congested stage below it;
+* ``mem_latency`` — MSHR/merge capacity ran out with nothing congested
+  downstream: raw fill latency, not queueing (the magic-memory case).
+
+The sampler adds each window's blame to its run totals as the window is
+captured, so the totals stay exact when windows are dropped.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import UsageError
 from repro.sim.component import CLASS_PREFIX, STALL_PREFIX
@@ -45,80 +65,160 @@ from repro.sim.component import CLASS_PREFIX, STALL_PREFIX
 DEFAULT_WINDOW = 2_000
 #: Default ring-buffer capacity, in windows.
 DEFAULT_MAX_WINDOWS = 512
+#: Downstream-congestion fraction above which a stage takes the blame.
+DEFAULT_BLAME_THRESHOLD = 0.25
+
+#: Blame stages, deepest (furthest from the SM) first.
+BLAME_STAGES = ("dram", "l2", "icnt", "l1", "mem_latency")
+
+#: Stall causes that mean "the L1 could not push a miss downstream".
+_QUEUE_CAUSES = frozenset({"stall_missq_full"})
 
 
 @dataclass(frozen=True)
-class WindowSample:
-    """Telemetry for one ``[start, end)`` cycle window."""
+class Window:
+    """What the sampler read for one ``[start, end)`` cycle window."""
 
     index: int
     start: int
     end: int
-    #: Instructions issued in the window / window length (whole GPU).
-    ipc: float
-    #: family -> cycles the family's queues were full inside the window
-    #: (summed over instances).
-    queue_full_cycles: dict[str, int] = field(default_factory=dict)
+    #: class -> SM-cycles in the window, summed over SMs; ``cycles`` is
+    #: their total.
+    classes: dict[str, int]
+    #: stall cause -> memory-pipeline stall cycles in the window.
+    stalls: dict[str, int]
+    #: name -> windowed delta of every plain (unprefixed) counter.
+    counters: dict[str, float]
+    #: family -> cycles the family's queues were full (summed).
+    queue_full: dict[str, int]
     #: family -> cycles the family's queues held >= 1 entry (summed).
-    queue_busy_cycles: dict[str, int] = field(default_factory=dict)
-    #: family -> full cycles / busy cycles within the window (the windowed
-    #: Section III metric; 0.0 for an idle window).
-    queue_full_fraction: dict[str, float] = field(default_factory=dict)
-    #: family -> busy cycles / (window length * instances).
-    queue_busy_fraction: dict[str, float] = field(default_factory=dict)
-    #: family -> mean instantaneous fill level (0..1) at the window edge.
-    queue_depth: dict[str, float] = field(default_factory=dict)
+    queue_busy: dict[str, int]
     #: family -> pushes refused inside the window.
-    queue_rejections: dict[str, int] = field(default_factory=dict)
+    queue_rejections: dict[str, int]
     #: family -> successful pushes inside the window.
-    queue_pushes: dict[str, int] = field(default_factory=dict)
+    queue_pushes: dict[str, int]
+    #: family -> number of queue instances.
+    queue_instances: dict[str, int]
+    #: family -> mean instantaneous fill level (0..1) at the window edge.
+    queue_depth: dict[str, float]
     #: family -> fraction of MSHR entries held at the window edge.
-    mshr_occupancy: dict[str, float] = field(default_factory=dict)
-    #: Data-bus busy cycles / window cycles, averaged over DRAM channels.
-    dram_bus_utilization: float = 0.0
-    #: name -> windowed delta of every plain ``counters`` source.
-    counters: dict[str, float] = field(default_factory=dict)
+    mshr_occupancy: dict[str, float]
+    #: Components publishing ``dram_bus_busy_cycles`` (DRAM channels).
+    dram_channels: int
 
     @property
     def length(self) -> int:
         return self.end - self.start
 
-    def to_dict(self) -> dict:
-        """JSON-ready rendition (used by ``RunMetrics.extras``)."""
-        return {
-            "index": self.index,
-            "start": self.start,
-            "end": self.end,
-            "ipc": self.ipc,
-            "queue_full_cycles": dict(self.queue_full_cycles),
-            "queue_busy_cycles": dict(self.queue_busy_cycles),
-            "queue_full_fraction": dict(self.queue_full_fraction),
-            "queue_busy_fraction": dict(self.queue_busy_fraction),
-            "queue_depth": dict(self.queue_depth),
-            "queue_rejections": dict(self.queue_rejections),
-            "queue_pushes": dict(self.queue_pushes),
-            "mshr_occupancy": dict(self.mshr_occupancy),
-            "dram_bus_utilization": self.dram_bus_utilization,
-            "counters": dict(self.counters),
-        }
+
+def _group(counters: dict, prefix: str) -> dict:
+    """The ``prefix`` group of ``counters``, with the prefix stripped."""
+    return {
+        name[len(prefix):]: value for name, value in counters.items()
+        if name.startswith(prefix)
+    }
 
 
-def _plain(component) -> list[tuple[str, int]]:
-    """The component's counters outside the stall and class groups."""
-    return [
-        (name, value) for name, value in component.counters()
-        if not name.startswith((STALL_PREFIX, CLASS_PREFIX))
-    ]
+def _timeline_window(w: Window) -> dict:
+    """One window of ``extras['timeline']``."""
+    length = w.length
+    return {
+        "index": w.index,
+        "start": w.start,
+        "end": w.end,
+        "ipc": w.counters.get("instructions", 0) / length,
+        "queue_full_cycles": dict(w.queue_full),
+        "queue_busy_cycles": dict(w.queue_busy),
+        # The windowed Section III metric; 0.0 for an idle window.
+        "queue_full_fraction": {
+            family: full / w.queue_busy[family] if w.queue_busy[family]
+            else 0.0
+            for family, full in w.queue_full.items()
+        },
+        "queue_busy_fraction": {
+            family: busy / (length * w.queue_instances[family])
+            for family, busy in w.queue_busy.items()
+        },
+        "queue_depth": dict(w.queue_depth),
+        "queue_rejections": dict(w.queue_rejections),
+        "queue_pushes": dict(w.queue_pushes),
+        "mshr_occupancy": dict(w.mshr_occupancy),
+        "dram_bus_utilization": (
+            w.counters.get("dram_bus_busy_cycles", 0)
+            / (length * w.dram_channels)
+            if w.dram_channels
+            else 0.0
+        ),
+        "counters": dict(w.counters),
+    }
 
 
-class TimeSeriesProbe:
-    """Samples windowed telemetry at cycle boundaries.
+def _attribution_window(w: Window) -> dict:
+    """One window of ``extras['attribution']``, its blame included."""
+    length = w.length
+
+    def full_share(family: str) -> float:
+        instances = w.queue_instances.get(family)
+        if not instances:
+            return 0.0
+        return w.queue_full[family] / (length * instances)
+
+    classes = dict(w.classes)
+    sm_cycles = classes.pop("cycles", 0)
+    blocked = w.counters.get("req_xbar_delivery_blocked_cycles", 0)
+    window = {
+        "index": w.index,
+        "start": w.start,
+        "end": w.end,
+        "sm_cycles": sm_cycles,
+        "classes": classes,
+        "stalls": dict(w.stalls),
+        "signals": {
+            "dram": max(full_share("dram_schedq"), full_share("l2_missq")),
+            "l2": full_share("l2_accessq"),
+            "icnt": min(1.0, blocked / length),
+            "l1": full_share("l1_missq"),
+        },
+    }
+    window["blame"] = blame([window])
+    return window
+
+
+def blame(
+    windows, threshold: float = DEFAULT_BLAME_THRESHOLD
+) -> dict[str, int]:
+    """Stall cycles per blame stage, summed over attribution windows.
+
+    ``windows`` are the per-window dicts of ``extras['attribution']``
+    (or of a profile document); only their ``stalls`` and ``signals``
+    are read.  Each window's stalled cycles go, winner-take-all, to the
+    deepest stage whose signal reaches ``threshold``; with none
+    congested, a full L1 miss queue blames ``l1`` and anything else
+    ``mem_latency``.
+    """
+    totals = dict.fromkeys(BLAME_STAGES, 0)
+    for window in windows:
+        signals = window["signals"]
+        congested = next(
+            (stage for stage in ("dram", "l2", "icnt")
+             if signals[stage] >= threshold),
+            None,
+        )
+        for cause, stalled in window["stalls"].items():
+            if stalled > 0:
+                local = "l1" if cause in _QUEUE_CAUSES else "mem_latency"
+                totals[congested or local] += stalled
+    return totals
+
+
+class WindowSampler:
+    """Records windowed deltas of every observation hook.
 
     Parameters
     ----------
     sim:
-        The simulator whose components are sampled (through the
-        ``sample_*`` hooks of :class:`~repro.sim.component.Component`).
+        The simulator whose components are read (through their
+        ``queues``, ``mshrs`` and ``counters`` hooks).
     window:
         Window length in core cycles.
     max_windows:
@@ -142,26 +242,24 @@ class TimeSeriesProbe:
         self._sim = sim
         self.window = window
         self.max_windows = max_windows
-        self._windows: deque[WindowSample] = deque(maxlen=max_windows)
+        self._windows: deque[Window] = deque(maxlen=max_windows)
         #: Windows evicted from the ring buffer (oldest first).
         self.dropped = 0
         self._window_start = 0
         self._index = 0
         self._finalized = False
-        self._scanned = False
-        #: family -> [StatQueue, ...] discovered through queues().
-        self._queues: dict[str, list] = {}
+        #: family -> [StatQueue, ...]; None until the first capture.
+        self._queues: dict[str, list] | None = None
         #: family -> [MSHRTable, ...] discovered through mshrs().
         self._mshrs: dict[str, list] = {}
-        #: counter name -> number of components publishing it.
-        self._counter_sources: dict[str, int] = {}
+        #: family -> number of queue instances.
+        self._instances: dict[str, int] = {}
         # Cumulative snapshots at the previous window boundary.
         self._prev_queue: dict[str, tuple[int, int, int, int]] = {}
         self._prev_counters: dict[str, float] = {}
+        # Exact run-level blame (independent of the window ring).
+        self._blame_totals = dict.fromkeys(BLAME_STAGES, 0)
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
     @classmethod
     def attach(
         cls,
@@ -169,24 +267,23 @@ class TimeSeriesProbe:
         *,
         window: int = DEFAULT_WINDOW,
         max_windows: int = DEFAULT_MAX_WINDOWS,
-    ) -> "TimeSeriesProbe":
-        """Attach a new probe to a built (not yet run) GPU model."""
-        probe = cls(gpu.sim, window=window, max_windows=max_windows)
-        gpu.sim.attach_observer(probe)
-        return probe
+    ) -> "WindowSampler":
+        """Attach a new sampler to a built (not yet run) GPU model."""
+        sampler = cls(gpu.sim, window=window, max_windows=max_windows)
+        gpu.sim.attach_observer(sampler)
+        return sampler
 
     def _scan(self) -> None:
-        """Discover instruments through the components' observation hooks."""
+        """Discover the queues and MSHR tables through the hooks."""
+        self._queues = {}
         for component in self._sim.components:
             for family, queue in component.queues():
                 self._queues.setdefault(family, []).append(queue)
             for family, table in component.mshrs():
                 self._mshrs.setdefault(family, []).append(table)
-            for name, _value in _plain(component):
-                self._counter_sources[name] = (
-                    self._counter_sources.get(name, 0) + 1
-                )
-        self._scanned = True
+        self._instances = {
+            family: len(queues) for family, queues in self._queues.items()
+        }
 
     # ------------------------------------------------------------------
     # observer protocol
@@ -208,143 +305,117 @@ class TimeSeriesProbe:
     # ------------------------------------------------------------------
     # the capture itself
     # ------------------------------------------------------------------
-    def _read_counters(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for component in self._sim.components:
-            for name, value in _plain(component):
-                totals[name] = totals.get(name, 0) + value
-        return totals
-
     def _capture(self, boundary: int) -> None:
-        if not self._scanned:
+        if self._queues is None:
             self._scan()
         length = boundary - self._window_start
         if length <= 0:
             return
 
-        full_cycles: dict[str, int] = {}
-        busy_cycles: dict[str, int] = {}
-        full_fraction: dict[str, float] = {}
-        busy_fraction: dict[str, float] = {}
-        depth: dict[str, float] = {}
-        rejections: dict[str, int] = {}
-        pushes: dict[str, int] = {}
-        for family, queues in self._queues.items():
-            full = sum(q.full_cycles(boundary) for q in queues)
-            busy = sum(q.busy_cycles(boundary) for q in queues)
-            rej = sum(q.rejections for q in queues)
-            psh = sum(q.pushes for q in queues)
-            p_full, p_busy, p_rej, p_psh = self._prev_queue.get(
-                family, (0, 0, 0, 0)
-            )
-            d_full = full - p_full
-            d_busy = busy - p_busy
-            full_cycles[family] = d_full
-            busy_cycles[family] = d_busy
-            full_fraction[family] = d_full / d_busy if d_busy else 0.0
-            busy_fraction[family] = d_busy / (length * len(queues))
-            depth[family] = sum(
-                len(q) / q.capacity for q in queues
-            ) / len(queues)
-            rejections[family] = rej - p_rej
-            pushes[family] = psh - p_psh
-            self._prev_queue[family] = (full, busy, rej, psh)
-
-        mshr_occupancy = {
-            family: sum(len(t) / t.capacity for t in tables) / len(tables)
-            for family, tables in self._mshrs.items()
-        }
-
-        totals = self._read_counters()
+        totals: dict[str, float] = {}
+        channels = 0
+        for component in self._sim.components:
+            for name, value in component.counters():
+                totals[name] = totals.get(name, 0) + value
+                if name == "dram_bus_busy_cycles":
+                    channels += 1
         deltas = {
             name: value - self._prev_counters.get(name, 0)
             for name, value in totals.items()
         }
         self._prev_counters = totals
 
-        n_channels = self._counter_sources.get("dram_bus_busy_cycles", 0)
-        bus_util = (
-            deltas.get("dram_bus_busy_cycles", 0) / (length * n_channels)
-            if n_channels
-            else 0.0
-        )
+        full: dict[str, int] = {}
+        busy: dict[str, int] = {}
+        rejections: dict[str, int] = {}
+        pushes: dict[str, int] = {}
+        depth: dict[str, float] = {}
+        for family, queues in self._queues.items():
+            now = (
+                sum(q.full_cycles(boundary) for q in queues),
+                sum(q.busy_cycles(boundary) for q in queues),
+                sum(q.rejections for q in queues),
+                sum(q.pushes for q in queues),
+            )
+            prev = self._prev_queue.get(family, (0, 0, 0, 0))
+            (full[family], busy[family], rejections[family],
+             pushes[family]) = (n - p for n, p in zip(now, prev))
+            self._prev_queue[family] = now
+            depth[family] = sum(
+                len(q) / q.capacity for q in queues
+            ) / len(queues)
 
+        record = Window(
+            index=self._index,
+            start=self._window_start,
+            end=boundary,
+            classes=_group(deltas, CLASS_PREFIX),
+            stalls=_group(deltas, STALL_PREFIX),
+            counters={
+                name: value for name, value in deltas.items()
+                if not name.startswith((STALL_PREFIX, CLASS_PREFIX))
+            },
+            queue_full=full,
+            queue_busy=busy,
+            queue_rejections=rejections,
+            queue_pushes=pushes,
+            queue_instances=self._instances,
+            queue_depth=depth,
+            mshr_occupancy={
+                family: sum(len(t) / t.capacity for t in tables) / len(tables)
+                for family, tables in self._mshrs.items()
+            },
+            dram_channels=channels,
+        )
+        for stage, stalled in _attribution_window(record)["blame"].items():
+            self._blame_totals[stage] += stalled
         if len(self._windows) == self.max_windows:
             self.dropped += 1  # deque evicts the oldest on append
-        self._windows.append(
-            WindowSample(
-                index=self._index,
-                start=self._window_start,
-                end=boundary,
-                ipc=deltas.get("instructions", 0) / length,
-                queue_full_cycles=full_cycles,
-                queue_busy_cycles=busy_cycles,
-                queue_full_fraction=full_fraction,
-                queue_busy_fraction=busy_fraction,
-                queue_depth=depth,
-                queue_rejections=rejections,
-                queue_pushes=pushes,
-                mshr_occupancy=mshr_occupancy,
-                dram_bus_utilization=bus_util,
-                counters=deltas,
-            )
-        )
+        self._windows.append(record)
         self._index += 1
         self._window_start = boundary
 
     # ------------------------------------------------------------------
-    # reading the series
+    # the two views
     # ------------------------------------------------------------------
     @property
-    def windows(self) -> list[WindowSample]:
-        """Retained windows, oldest first."""
+    def windows(self) -> list[Window]:
+        """Retained records, oldest first."""
         return list(self._windows)
 
-    @property
-    def queue_families(self) -> list[str]:
-        """Family labels in component-registration order."""
-        return list(self._queues)
+    def _retained(self, max_windows: int | None) -> tuple[int, int, list]:
+        """The view's ring depth, dropped count and retained records."""
+        max_windows = max_windows or self.max_windows
+        kept = list(self._windows)[-max_windows:]
+        return max_windows, self.dropped + len(self._windows) - len(kept), kept
 
-    def series(self, key: str, family: str | None = None) -> list[tuple[int, float]]:
-        """``(window end cycle, value)`` points for one metric.
-
-        ``key`` is a :class:`WindowSample` field name; dict-valued fields
-        (``queue_full_fraction``, ``mshr_occupancy``, ``counters``, ...)
-        additionally need ``family`` to pick the entry.
-        """
-        points = []
-        for sample in self._windows:
-            try:
-                value = getattr(sample, key)
-            except AttributeError:
-                raise UsageError(
-                    f"unknown telemetry series {key!r}"
-                ) from None
-            if isinstance(value, dict):
-                if family is None:
-                    raise UsageError(
-                        f"series {key!r} is per-family; pass family="
-                    )
-                value = value.get(family, 0.0)
-            points.append((sample.end, value))
-        return points
-
-    def total_queue_cycles(self, family: str) -> tuple[int, int]:
-        """Summed (full, busy) cycles over the *retained* windows.
-
-        With no windows dropped this equals the end-of-run aggregate of
-        the family's queues — the reconciliation the tests assert.
-        """
-        full = sum(w.queue_full_cycles.get(family, 0) for w in self._windows)
-        busy = sum(w.queue_busy_cycles.get(family, 0) for w in self._windows)
-        return full, busy
-
-    def summary(self) -> dict:
-        """JSON-ready structure for ``RunMetrics.extras['timeline']``."""
+    def timeline(self, max_windows: int | None = None) -> dict:
+        """``RunMetrics.extras['timeline']``: the newest ``max_windows``
+        windows (default: the sampler's depth) as time series."""
+        max_windows, dropped, kept = self._retained(max_windows)
         return {
             "window": self.window,
-            "max_windows": self.max_windows,
-            "dropped": self.dropped,
-            "queue_families": self.queue_families,
-            "windows": [w.to_dict() for w in self._windows],
+            "max_windows": max_windows,
+            "dropped": dropped,
+            "queue_families": list(self._queues or ()),
+            "windows": [_timeline_window(w) for w in kept],
+        }
+
+    def attribution(self, max_windows: int | None = None) -> dict:
+        """``RunMetrics.extras['attribution']``: run-level cycle classes,
+        stalls and blame, plus the newest ``max_windows`` windows."""
+        max_windows, dropped, kept = self._retained(max_windows)
+        classes = _group(self._prev_counters, CLASS_PREFIX)
+        sm_cycles = classes.pop("cycles", 0)
+        return {
+            "window": self.window,
+            "max_windows": max_windows,
+            "dropped": dropped,
+            "blame_threshold": DEFAULT_BLAME_THRESHOLD,
+            "sm_cycles": sm_cycles,
+            "classes": classes,
+            "stalls": _group(self._prev_counters, STALL_PREFIX),
+            "blame": dict(self._blame_totals),
+            "conserved": sum(classes.values()) == sm_cycles,
+            "windows": [_attribution_window(w) for w in kept],
         }

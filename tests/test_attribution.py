@@ -29,7 +29,7 @@ from repro.core.report import render_profile, render_profile_diff
 from repro.errors import UsageError
 from repro.gpu import GPU
 from repro.sim.config import small_gpu, tiny_gpu
-from repro.telemetry import BLAME_STAGES, DEFAULT_WINDOW, AttributionProbe
+from repro.telemetry import BLAME_STAGES, DEFAULT_WINDOW, WindowSampler, blame
 from repro.workloads.suite import BENCHMARKS, get_benchmark
 
 SCALE = 0.2
@@ -114,7 +114,7 @@ class TestZeroPerturbation:
 class TestProbe:
     def _probed(self, name="nn", config=None, **kwargs):
         gpu = GPU(config or tiny_gpu(), get_benchmark(name, SCALE))
-        probe = AttributionProbe.attach(gpu, **kwargs)
+        probe = WindowSampler.attach(gpu, **kwargs)
         gpu.run(max_cycles=500_000)
         return gpu, probe
 
@@ -130,52 +130,52 @@ class TestProbe:
 
     def test_window_deltas_sum_to_totals(self):
         _gpu, probe = self._probed(window=100)
-        totals = probe.class_totals()
-        sm_cycles = totals.pop("cycles")
-        assert sum(w.sm_cycles for w in probe.windows) == sm_cycles
-        for name, total in totals.items():
-            assert sum(w.classes.get(name, 0) for w in probe.windows) == total
-        stall_totals = probe.stall_totals()
-        for cause, total in stall_totals.items():
-            assert sum(w.stalls.get(cause, 0) for w in probe.windows) == total
+        view = probe.attribution()
+        windows = view["windows"]
+        assert sum(w["sm_cycles"] for w in windows) == view["sm_cycles"]
+        for name, total in view["classes"].items():
+            assert sum(w["classes"].get(name, 0) for w in windows) == total
+        for cause, total in view["stalls"].items():
+            assert sum(w["stalls"].get(cause, 0) for w in windows) == total
 
     def test_window_blame_partitions_window_stalls(self):
         _gpu, probe = self._probed(window=100)
-        for w in probe.windows:
-            assert sum(w.blame.values()) == sum(
-                max(0, s) for s in w.stalls.values())
-            assert set(w.blame) == set(BLAME_STAGES)
-            assert all(0.0 <= v <= 1.0 for v in w.signals.values())
+        for w in probe.attribution()["windows"]:
+            assert sum(w["blame"].values()) == sum(
+                max(0, s) for s in w["stalls"].values())
+            assert tuple(w["blame"]) == BLAME_STAGES
+            assert all(0.0 <= v <= 1.0 for v in w["signals"].values())
 
     def test_blame_totals_exact_despite_dropped_windows(self):
         _gpu, exact = self._probed(name="sc", window=50, max_windows=1024)
         _gpu, ringed = self._probed(name="sc", window=50, max_windows=2)
         assert ringed.dropped > 0
         assert len(ringed.windows) == 2
-        assert ringed.blame_totals() == exact.blame_totals()
-        assert ringed.class_totals() == exact.class_totals()
+        exact, ringed = exact.attribution(), ringed.attribution()
+        assert ringed["blame"] == exact["blame"]
+        assert ringed["classes"] == exact["classes"]
+        assert blame(exact["windows"]) == exact["blame"]
 
     def test_magic_memory_blames_latency(self):
         _gpu, probe = self._probed(
             name="sc", config=tiny_gpu().with_magic_memory(200))
-        blame = probe.blame_totals()
-        assert sum(blame.values()) > 0
-        assert sum(blame.values()) == blame["mem_latency"]
+        totals = probe.attribution()["blame"]
+        assert sum(totals.values()) > 0
+        assert sum(totals.values()) == totals["mem_latency"]
 
     def test_parameter_validation(self):
         with pytest.raises(UsageError):
-            AttributionProbe(None, window=0)
+            WindowSampler(None, window=0)
         with pytest.raises(UsageError):
-            AttributionProbe(None, max_windows=0)
-        with pytest.raises(UsageError):
-            AttributionProbe(None, blame_threshold=0.0)
-        with pytest.raises(UsageError):
-            AttributionProbe(None, blame_threshold=1.5)
+            WindowSampler(None, max_windows=0)
+        # The threshold is an argument of blame(), not of the sampler.
+        with pytest.raises(TypeError):
+            WindowSampler(None, blame_threshold=0.25)
 
     def test_determinism(self):
         _gpu, a = self._probed(name="lbm", window=100)
         _gpu, b = self._probed(name="lbm", window=100)
-        assert a.summary() == b.summary()
+        assert a.attribution() == b.attribution()
 
 
 class TestStallCauseSurfacing:
@@ -218,6 +218,20 @@ class TestProfileDocuments:
         assert profile["conserved"] is True
         assert sum(profile["classes"].values()) == profile["sm_cycles"]
         assert set(profile["blame"]) == set(BLAME_STAGES)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_stored_windows_can_be_blamed_again(self, name):
+        """Blame is a pure function of a document's stored windows."""
+        plan = profile_plan(tiny_gpu(), name, iteration_scale=0.1,
+                            window=100)
+        [job] = plan.jobs
+        metrics = job.execute()
+        assert metrics.extras["attribution"]["dropped"] == 0
+        document = json.loads(json.dumps(plan.fold([metrics])))
+        assert blame(document["windows"]) == document["blame"]
+        # Whatever the threshold, blame partitions the same stall cycles.
+        strict = blame(document["windows"], threshold=1.0)
+        assert sum(strict.values()) == sum(document["blame"].values())
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UsageError):

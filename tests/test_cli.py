@@ -21,6 +21,16 @@ class TestParser:
         assert args.config == "small"
         assert args.scale == 1.0
 
+    @pytest.mark.parametrize("argv, timeline, sanitize", [
+        ([], None, None),
+        (["--timeline", "--sanitize"], 2000, 64),
+        (["--timeline", "100", "--sanitize", "1"], 100, 1),
+    ])
+    def test_run_probe_flags_take_optional_values(
+            self, argv, timeline, sanitize):
+        args = build_parser().parse_args(["run", "nn", *argv])
+        assert (args.timeline, args.sanitize) == (timeline, sanitize)
+
     @pytest.mark.parametrize("argv", [
         # A positional benchmark: --benchmarks would be ignored.
         ["run", "nn", "--benchmarks", "sc"],
@@ -31,6 +41,10 @@ class TestParser:
         ["validate", "--benchmarks", "nn"],
         # replicate reads --seeds.
         ["replicate", "sc", "--seed", "3"],
+        # run takes its window and epoch as --timeline / --sanitize values.
+        ["run", "nn", "--config", "tiny", "--scale", "0.1", "--window", "50"],
+        ["run", "nn", "--config", "tiny", "--scale", "0.1",
+         "--sanitize-interval", "1"],
     ])
     def test_unread_flags_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -132,7 +146,7 @@ class TestTelemetryCommands:
     def test_run_timeline(self, capsys):
         assert main([
             "run", "nn", "--config", "tiny", "--scale", "0.1",
-            "--timeline", "--window", "100",
+            "--timeline", "100",
         ]) == 0
         out = capsys.readouterr().out
         assert "Cycle-windowed telemetry" in out

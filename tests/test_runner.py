@@ -625,7 +625,7 @@ class TestCLI:
         (["diagnose", *TINY, "--benchmarks", "nn", "leukocyte"], None),
         (["replicate", "sc", *TINY, "--seeds", "1", "2"], None),
         (["validate", "--config", "tiny", "--scale", "0.05"], None),
-        (["run", "nn", *TINY, "--timeline", "--window", "100"], None),
+        (["run", "nn", *TINY, "--timeline", "100"], None),
         (["profile", "sc", *TINY, "--diff", "baseline", "l2",
           "--json", "{out}"], "{out}"),
         (["trace", "nn", *TINY, "--stride", "1", "--out", "{out}"],

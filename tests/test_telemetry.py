@@ -18,11 +18,12 @@ import types
 
 import pytest
 
+from repro.core import metrics as metrics_module
 from repro.core.metrics import ProbeSpec, run_kernel
 from repro.errors import UsageError
 from repro.gpu import GPU
 from repro.sim.config import tiny_gpu
-from repro.telemetry import RequestTracer, TimeSeriesProbe, hop_track
+from repro.telemetry import RequestTracer, WindowSampler, hop_track
 from repro.utils.ascii_plot import resample, sparkline
 from repro.workloads.suite import get_benchmark
 
@@ -31,7 +32,7 @@ SCALE = 0.2
 
 def _run_probed(name="nn", window=100, **kwargs):
     gpu = GPU(tiny_gpu(), get_benchmark(name, SCALE))
-    probe = TimeSeriesProbe.attach(gpu, window=window, **kwargs)
+    probe = WindowSampler.attach(gpu, window=window, **kwargs)
     gpu.run(max_cycles=500_000)
     return gpu, probe
 
@@ -58,9 +59,13 @@ class TestWindowReconciliation:
             "dram_schedq": [d.sched_queue for d in gpu.dram_channels],
             "dram_returnq": [d.return_queue for d in gpu.dram_channels],
         }
-        assert set(families) <= set(probe.queue_families)
+        timeline = probe.timeline()
+        assert set(families) <= set(timeline["queue_families"])
         for family, queues in families.items():
-            full, busy = probe.total_queue_cycles(family)
+            full = sum(w["queue_full_cycles"][family]
+                       for w in timeline["windows"])
+            busy = sum(w["queue_busy_cycles"][family]
+                       for w in timeline["windows"])
             assert full == sum(q.full_cycles() for q in queues), family
             assert busy == sum(q.busy_cycles() for q in queues), family
 
@@ -73,7 +78,8 @@ class TestWindowReconciliation:
 
     def test_ipc_windows_recover_instruction_total(self):
         gpu, probe = _run_probed()
-        recovered = sum(w.ipc * w.length for w in probe.windows)
+        recovered = sum(w["ipc"] * (w["end"] - w["start"])
+                        for w in probe.timeline()["windows"])
         assert recovered == pytest.approx(gpu.instructions)
 
     def test_run_kernel_timeline_matches_aggregate_metrics(self):
@@ -122,25 +128,57 @@ class TestRingBuffer:
         assert indices == list(
             range(probe.dropped, probe.dropped + 3)
         )
-        assert probe.summary()["dropped"] == probe.dropped
+        assert probe.timeline()["dropped"] == probe.dropped
+        # A shallower view of the same records drops what it cannot hold.
+        shallow = probe.timeline(max_windows=2)
+        assert shallow["dropped"] == probe.dropped + 1
+        assert [w["index"] for w in shallow["windows"]] == indices[1:]
 
     def test_parameter_validation(self):
         gpu = GPU(tiny_gpu(), get_benchmark("nn", SCALE))
         with pytest.raises(UsageError):
-            TimeSeriesProbe(gpu.sim, window=0)
+            WindowSampler(gpu.sim, window=0)
         with pytest.raises(UsageError):
-            TimeSeriesProbe(gpu.sim, max_windows=0)
+            WindowSampler(gpu.sim, max_windows=0)
 
-    def test_series_accessor(self):
-        _gpu, probe = _run_probed()
-        points = probe.series("ipc")
-        assert len(points) == len(probe.windows)
-        per_family = probe.series("queue_full_fraction", "l2_accessq")
-        assert len(per_family) == len(points)
-        with pytest.raises(UsageError):
-            probe.series("queue_full_fraction")  # family required
-        with pytest.raises(UsageError):
-            probe.series("no_such_series")
+
+class TestOneSampler:
+    @pytest.mark.parametrize("name", ("nn", "sc"))
+    def test_one_counters_walk_per_boundary(self, name, monkeypatch):
+        """Timeline and attribution at one window share one sampler, so
+        each boundary walks every component's counters once, and the two
+        views agree by construction."""
+        calls = []
+        built = []
+
+        def counting_gpu(*args, **kwargs):
+            gpu = GPU(*args, **kwargs)
+            for component in gpu.sim.components:
+                def counters(original=component.counters):
+                    calls.append(1)
+                    return original()
+                component.counters = counters
+            built.append(gpu)
+            return gpu
+
+        monkeypatch.setattr(metrics_module, "GPU", counting_gpu)
+        metrics = run_kernel(
+            tiny_gpu(), get_benchmark(name, 0.1),
+            probes=ProbeSpec(timeline_window=100, attribution_window=100),
+        )
+        [gpu] = built
+        timeline = metrics.extras["timeline"]["windows"]
+        attribution = metrics.extras["attribution"]["windows"]
+        components = len(gpu.sim.components)
+        assert len(timeline) == len(attribution) > 1
+        assert len(calls) <= len(timeline) * components + components
+        l2_queues = len(gpu.l2_slices)
+        for t, a in zip(timeline, attribution):
+            length = t["end"] - t["start"]
+            assert a["signals"]["l2"] * length * l2_queues == pytest.approx(
+                t["queue_full_cycles"]["l2_accessq"])
+            assert a["signals"]["icnt"] == min(
+                1, t["counters"]["req_xbar_delivery_blocked_cycles"] / length)
 
 
 def _run_traced(name="nn", stride=1, **kwargs):
@@ -259,13 +297,14 @@ class TestDeterminismAndTransparency:
     def test_timeline_deterministic_across_identical_seeds(self):
         _gpu, first = _run_probed()
         _gpu, second = _run_probed()
-        assert first.summary() == second.summary()
+        assert first.timeline() == second.timeline()
+        assert first.attribution() == second.attribution()
 
     def test_instrumentation_is_observationally_transparent(self):
         plain = GPU(tiny_gpu(), get_benchmark("nn", SCALE))
         plain.run(max_cycles=500_000)
         probed = GPU(tiny_gpu(), get_benchmark("nn", SCALE))
-        TimeSeriesProbe.attach(probed, window=100)
+        WindowSampler.attach(probed, window=100)
         RequestTracer.attach(probed, stride=1)
         probed.run(max_cycles=500_000)
         assert probed.cycles == plain.cycles
