@@ -138,6 +138,8 @@ def profile_plan(
             "conserved": attribution["conserved"],
             "window": attribution["window"],
             "blame_threshold": attribution["blame_threshold"],
+            "max_windows": attribution["max_windows"],
+            "dropped": attribution["dropped"],
             "windows": attribution["windows"],
         }
 

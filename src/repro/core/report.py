@@ -197,8 +197,14 @@ def render_profile(profile: Mapping) -> str:
             f"instructions, IPC {profile['ipc']:.3f}"
             + (" [truncated]" if profile.get("truncated") else "")
         ),
-        "",
     ]
+    if profile.get("dropped"):
+        lines.append(
+            f"  over time: newest {len(windows)} windows of "
+            f"{profile['window']} cycles; {profile['dropped']} oldest "
+            "windows dropped (totals stay exact)"
+        )
+    lines.append("")
 
     classes = profile.get("classes", {})
     rows = _share_rows(classes, sm_cycles, windows, "classes", _CLASS_GLOSS)

@@ -17,10 +17,12 @@ Design points, in the order they matter:
   id; its results are served instantly from the store.  A done
   submission whose stored results vanished is re-attempted instead.
 * **Cache hits finish at submit.**  A new submission whose every job is
-  already stored needs no simulation, so :meth:`submit` runs it in the
-  calling thread as one all-hit batch (the batch-runner path, events and
-  store reads) and returns it done; only submissions with work to do
-  queue.
+  already stored needs no simulation: :meth:`submit` marks it done
+  inside its locked presence check and appends one usage delta to the
+  store, with no batch, no store read and no event log; only
+  submissions with work to do queue.  An entry that vanishes or fails
+  to unpickle after the check makes ``results`` answer ``incomplete``,
+  and a resubmit re-simulates it.
 * **Bounded registry.**  The daemon remembers at most
   :data:`FINISHED_KEPT` finished submissions and forgets the least
   recently finished first, so its memory does not grow with the work it
@@ -45,9 +47,8 @@ Design points, in the order they matter:
   done-authority.
 * **Graceful drain.**  :meth:`drain` stops intake (submits fail with
   ``draining``) while queued and running submissions finish;
-  :meth:`stop` drains, waits for the queue to empty, joins the workers
-  and waits out submissions still running at submit.  ``repro serve``
-  wires SIGTERM/SIGINT to exactly this path.
+  :meth:`stop` drains, waits for the queue to empty and joins the
+  workers.  ``repro serve`` wires SIGTERM/SIGINT to exactly this path.
 """
 
 from __future__ import annotations
@@ -110,9 +111,6 @@ class Submission:
     finished: float = 0.0
     events_path: Path | None = None
     cancel_requested: bool = False
-    #: Set by ``submit`` when every job was stored: the submission runs
-    #: in the submitting thread, as one batch.
-    at_submit: bool = False
 
     def snapshot(self, store: ResultCache) -> dict[str, Any]:
         """Status payload: lifecycle state plus store-backed progress."""
@@ -164,7 +162,6 @@ class ReproDaemon:
         self._submissions: dict[str, Submission] = {}
         #: Ids of finished submissions, least recently finished first.
         self._finished: dict[str, None] = {}
-        self._running: set[str] = set()
         self._threads: list[threading.Thread] = []
         self._draining = False
         self._stopping = False
@@ -197,21 +194,17 @@ class ReproDaemon:
     def stop(self, timeout: float | None = None) -> bool:
         """Drain, let the queue empty, and join the workers.
 
-        Submissions served at submit run in client threads; those are
-        waited for too.  Returns True when every worker exited and no
-        submission was left running, each within ``timeout``.
+        Returns True when every worker exited within ``timeout``.  A
+        submission served at submit never outlives its ``submit`` call,
+        so the workers are all there is to wait for.
         """
         self.drain()
         with self._wake:
             self._stopping = True
             self._wake.notify_all()
-        clean = True
         for thread in self._threads:
             thread.join(timeout)
-            clean = clean and not thread.is_alive()
-        with self._wake:
-            idle = self._wake.wait_for(lambda: not self._running, timeout)
-        return clean and idle
+        return not any(thread.is_alive() for thread in self._threads)
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until no submission is queued or running."""
@@ -220,7 +213,9 @@ class ReproDaemon:
             else time.monotonic() + timeout  # noqa: REP001 - host scheduling, not simulated time
         )
         with self._wake:
-            while self._queue or self._running:
+            while self._queue or any(
+                sub.state == RUNNING for sub in self._submissions.values()
+            ):
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()  # noqa: REP001 - host scheduling, not simulated time
@@ -245,8 +240,8 @@ class ReproDaemon:
 
         Job construction happens outside the lock (it hashes configs),
         the queue/coalesce decision inside it.  A submission whose jobs
-        are all stored runs here, in the calling thread, and returns its
-        terminal state; any other queues for the workers.
+        are all stored is done inside that decision; any other queues
+        for the workers.
         """
         check_spec_types(spec)
         jobs = build_jobs(spec)
@@ -295,17 +290,20 @@ class ReproDaemon:
                     events_path=self.state_dir / EVENTS_DIR / f"{sub_id}.jsonl",
                 )
                 self._submissions[sub_id] = submission
-            submission.at_submit = stored
             if stored:
-                submission.state = RUNNING
-                self._running.add(sub_id)
+                # Nothing to simulate, so no batch and no event log; a
+                # re-attempt drops the log of the lifecycle it replaces.
+                if existing is not None and existing.events_path is not None:
+                    existing.events_path.unlink(missing_ok=True)
+                submission.state = DONE
+                submission.finished = time.time()  # noqa: REP001 - service bookkeeping, not simulated time
+                self._finish(submission)
             else:
                 submission.state = QUEUED
                 self._queue.append(submission)
                 self._wake.notify_all()
         if stored:
-            # An entry that vanishes meanwhile is re-simulated in place.
-            self._run(submission)
+            self.cache.record_usage(hits=len(keys))
         payload = submission.snapshot(self.cache)
         payload.update({"ok": True, "coalesced": False})
         return payload
@@ -337,7 +335,8 @@ class ReproDaemon:
             raise ServiceError("bad-request", "'since' must be an int >= 0")
         # State first: ``submission_end`` is written before a terminal
         # state is published, so a terminal state read here guarantees
-        # the records read next include it.
+        # the records read next include it.  A submission done at submit
+        # has no log, so its records are empty.
         state = submission.state
         records: list[dict[str, Any]] = []
         if submission.events_path is not None:
@@ -441,7 +440,6 @@ class ReproDaemon:
                 if self._queue:
                     submission = self._queue.popleft()
                     submission.state = RUNNING
-                    self._running.add(submission.id)
                     return submission
                 if self._stopping:
                     return None
@@ -452,16 +450,7 @@ class ReproDaemon:
             submission = self._next_submission()
             if submission is None:
                 return
-            self._run(submission)
-
-    def _run(self, submission: Submission) -> None:
-        """Execute a submission marked running, then unmark it."""
-        try:
             self._execute(submission)
-        finally:
-            with self._wake:
-                self._running.discard(submission.id)
-                self._wake.notify_all()
 
     def _finish(self, submission: Submission) -> None:
         """Remember a now-terminal submission; forget the oldest (locked).
@@ -482,13 +471,7 @@ class ReproDaemon:
                 forgotten.events_path.unlink(missing_ok=True)
 
     def _chunks(self, submission: Submission) -> list[list[Job]]:
-        """Cancel-granularity slices of the submission's unique jobs.
-
-        Chunks let ``cancel`` land between simulations; a submission run
-        at submit simulates nothing, so it runs as a single batch.
-        """
-        if submission.at_submit:
-            return [submission.jobs]
+        """Cancel-granularity slices: ``cancel`` lands between them."""
         width = max(1, self.jobs or (len(submission.jobs)))
         return [
             submission.jobs[start:start + width]

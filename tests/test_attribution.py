@@ -225,13 +225,26 @@ class TestProfileDocuments:
         plan = profile_plan(tiny_gpu(), name, iteration_scale=0.1,
                             window=100)
         [job] = plan.jobs
-        metrics = job.execute()
-        assert metrics.extras["attribution"]["dropped"] == 0
-        document = json.loads(json.dumps(plan.fold([metrics])))
+        document = json.loads(json.dumps(plan.fold([job.execute()])))
+        assert document["dropped"] == 0
         assert blame(document["windows"]) == document["blame"]
         # Whatever the threshold, blame partitions the same stall cycles.
         strict = blame(document["windows"], threshold=1.0)
         assert sum(strict.values()) == sum(document["blame"].values())
+
+    def test_document_counts_the_windows_it_dropped(self):
+        """A run longer than the ring keeps exact totals, and its
+        document says how many windows its stored ones leave out."""
+        document = run_plan(profile_plan(
+            tiny_gpu(), "sc", iteration_scale=0.2, window=1))
+        assert len(document["windows"]) == document["max_windows"]
+        assert document["dropped"] > 0
+        assert document["dropped"] + len(document["windows"]) == (
+            document["cycles"])
+        assert sum(blame(document["windows"]).values()) < sum(
+            document["blame"].values())
+        assert f"{document['dropped']} oldest windows dropped" in (
+            render_profile(document))
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UsageError):

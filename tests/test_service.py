@@ -271,7 +271,8 @@ class TestDaemonResults:
 
 
 class TestStoredSubmissions:
-    """A submission whose jobs are all stored finishes inside ``submit``."""
+    """A submission whose jobs are all stored finishes inside ``submit``:
+    a presence check, no batch, no store read and no event log."""
 
     def _stored(self, tmp_path, spec):
         """Store ``spec``'s results through a worker; return store, CSV."""
@@ -286,27 +287,72 @@ class TestStoredSubmissions:
         return store, worker_csv
 
     def test_all_stored_submission_is_done_at_submit(self, tmp_path):
-        spec = _spec(seeds=[1, 2])
+        spec = _spec(seeds=[1, 2, 3])
         store, worker_csv = self._stored(tmp_path, spec)
         daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
+        events_dir = daemon.state_dir / EVENTS_DIR
+        logs_before = sorted(events_dir.iterdir())
+        hits_before = store.usage_stats()["hits"]
         status = daemon.submit(spec)
-        assert status["state"] == DONE
-        assert status["coalesced"] is False
-        assert status["done"] == status["total"] == 2
-        assert daemon.ping()["queued"] == 0
         assert daemon.results(status["id"], "csv")["text"] == worker_csv
-        submission = daemon._get(status["id"])
-        # One all-hit batch over every job, and no simulation (no
-        # job_finish).
-        assert _event_kinds(submission) == [
-            "submission_start", "cache_hit", "cache_hit", "batch_start",
-            "batch_end", "submission_end",
+        # Five distinct ids over the stored keys, in new orders.
+        statuses = [status] + [
+            daemon.submit(_spec(seeds=seeds))
+            for seeds in ([3, 2, 1], [2], [1, 3], [3, 1, 2])
         ]
+        assert len({s["id"] for s in statuses}) == 5
+        for status in statuses:
+            assert (status["state"], status["coalesced"]) == (DONE, False)
+            assert status["done"] == status["total"]
+            assert daemon.events(status["id"])["state"] == DONE
+            assert daemon.events(status["id"])["events"] == []
+        assert daemon.ping()["queued"] == 0
+        assert sorted(events_dir.iterdir()) == logs_before
+        assert store.usage_stats()["hits"] == hits_before + sum(
+            s["total"] for s in statuses)
         daemon.drain()
         with pytest.raises(ServiceError) as err:
-            daemon.submit(_spec(seeds=[2]))  # a new id, also all stored
+            daemon.submit(_spec(seeds=[2, 1]))  # a new id, also all stored
         assert err.value.code == "draining"
         assert daemon.stop(timeout=10)
+
+    def test_a_corrupt_stored_entry_is_never_served(self, tmp_path):
+        spec = _spec(seeds=[1, 2])
+        serial_csv = runs_to_text(
+            BatchRunner(jobs=1).run(build_jobs(spec)), "csv")
+        store, _ = self._stored(tmp_path, spec)
+        entry = store._path(build_jobs(spec)[1].key())
+        entry.write_bytes(entry.read_bytes()[:20])  # present, unreadable
+        daemon = _daemon(tmp_path / "s", cache=store)
+        status = daemon.submit(spec)
+        assert (status["state"], status["coalesced"]) == (DONE, False)
+        with pytest.raises(ServiceError) as err:
+            daemon.results(status["id"])
+        assert err.value.code == "incomplete"
+        again = daemon.submit(spec)
+        assert again["id"] == status["id"]
+        assert (again["state"], again["coalesced"]) == (QUEUED, False)
+        daemon.start()
+        assert daemon.wait_idle(timeout=300)
+        kinds = _event_kinds(daemon._get(status["id"]))
+        assert kinds.count("job_finish") == 1  # only the corrupt entry
+        assert daemon.results(status["id"], "csv")["text"] == serial_csv
+        assert daemon.stop(timeout=10)
+
+    def test_an_at_submit_re_attempt_drops_the_replaced_log(self, tmp_path):
+        spec = _spec()
+        daemon = _daemon(tmp_path / "s", cache=ResultCache(tmp_path / "store"))
+        queued = daemon.submit(spec)
+        submission = daemon._next_submission()  # workers never started
+        daemon.cancel(queued["id"])
+        daemon._execute(submission)  # cancelled before its first chunk
+        assert daemon.status(queued["id"])["state"] == CANCELLED
+        assert submission.events_path.exists()
+        self._stored(tmp_path, spec)
+        again = daemon.submit(spec)
+        assert (again["state"], again["coalesced"]) == (DONE, False)
+        assert daemon.events(queued["id"])["events"] == []
+        assert not submission.events_path.exists()
 
     def test_registry_forgets_the_oldest_finished_submissions(self, tmp_path):
         spec = _spec()
@@ -348,32 +394,6 @@ class TestStoredSubmissions:
         assert (status["state"], status["coalesced"]) == (DONE, False)
         assert daemon.results(status["id"], "csv")["text"] == worker_csv
         assert daemon.status(cold["id"])["state"] == QUEUED
-
-    def test_stop_waits_for_a_submission_running_at_submit(self, tmp_path):
-        spec = _spec()
-        store, _ = self._stored(tmp_path, spec)
-        daemon = _daemon(tmp_path / "s", cache=store)
-        release = threading.Event()
-        execute = daemon._execute
-
-        def held_execute(submission):
-            release.wait(10)
-            execute(submission)
-
-        daemon._execute = held_execute
-        submitter = threading.Thread(target=daemon.submit, args=(spec,))
-        submitter.start()
-        for _ in range(1000):
-            if daemon.ping()["running"]:
-                break
-            threading.Event().wait(0.01)
-        assert daemon.ping()["running"] == 1
-        assert daemon.stop(timeout=0.05) is False
-        release.set()
-        submitter.join(10)
-        assert not submitter.is_alive()
-        assert daemon.stop(timeout=10)
-        assert daemon.ping()["running"] == 0
 
 
 def _end_seen_with_terminal_state(batch):
