@@ -1,29 +1,35 @@
 #!/usr/bin/env python
-"""Maintain and enforce the committed simulator-perf trajectory.
+"""Record and gate the simulator's speed with the repository benchmark.
 
-``BENCH_perf.json`` at the repo root records the simulator's own
-throughput (sim kcycles per wall second, from
-``benchmarks/test_simulator_performance.py``) as a per-PR append-only
-series, so the cost of the harness is reviewed like any other diff
-instead of vanishing into CI artifacts.
+``BENCH_perf.json`` at the repo root is the ledger of ``perfbench/run.py``
+results, one entry per change, so the harness's cost is reviewed like any
+other diff.  ``BENCHMARK.json`` names the command, the workloads, the run
+budget and every metric's unit, direction and bound; this script keeps no
+table of its own.  Two verbs::
 
-Two modes, both reading a fresh pytest-benchmark JSON run::
+    python scripts/perf_trajectory.py append   # record a new entry
+    python scripts/perf_trajectory.py check    # gate this checkout
 
-    # after `pytest benchmarks/test_simulator_performance.py
-    #        --benchmark-json=perf_run.json`:
-    python scripts/perf_trajectory.py append --run perf_run.json
-    python scripts/perf_trajectory.py check  --run perf_run.json
+``append`` runs every workload at seed 1 for ``run_seconds``: three
+untraced runs and one traced run.  It appends one entry holding each
+end-to-end metric of all three runs, the traced per-layer split, every
+per-layer work count and the host part of perfbench's fingerprint
+(python, nproc, platform).  Run it on the machine that defines the
+reference numbers and commit the result.
 
-``append`` adds one entry (commit, date, rate per benchmark) to the
-trajectory; run it on the machine that defines your reference numbers
-and commit the result.  ``check`` compares the fresh run against the
-most recent entry and fails when any benchmark drops below
-``--tolerance`` (default 0.25) of its recorded rate — deliberately loose,
-because CI runners are slower and noisier than the reference machine;
-the floor exists to catch order-of-magnitude hot-path regressions, not
-jitter.  ``check --regress-pct [PCT]`` adds a stricter gate against the
-*best* rate in any recorded entry (default 20%), so gradual decay across
-entries cannot hide behind the latest-entry tolerance.
+``check`` compares this checkout against the latest entry:
+
+* Work counts (per-layer metrics whose unit is ``count``) come from one
+  traced run at the smallest budget.  perfbench takes them from the first
+  traced pass, so they are exact and host-independent.  A count that moves
+  in its worse direction fails; a move the other way is printed.
+* End-to-end metrics come from one untraced run per workload at the
+  entry's budget.  They are gated only when this host's fingerprint equals
+  the entry's: each must stay within its bound of the worst of the entry's
+  three runs.  On any other host they are printed and not gated.
+
+Every run must be ``correct`` with no failed operation.  ``check`` writes
+the two JSON lines of each perfbench run it makes to ``perf_check.jsonl``.
 """
 
 import argparse
@@ -35,14 +41,26 @@ from typing import NoReturn
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The committed trajectory file (append-only entries, newest last).
+#: The committed ledger (append-only entries, newest last).
 TRAJECTORY = REPO_ROOT / "BENCH_perf.json"
 
-#: Bumped when the trajectory layout changes.
-TRAJECTORY_SCHEMA = 1
+#: The benchmark declaration: command, workloads, budget, metrics.
+BENCHMARK = REPO_ROOT / "BENCHMARK.json"
 
-#: check fails when rate < tolerance * recorded rate.
-DEFAULT_TOLERANCE = 0.25
+#: Where ``check`` leaves the perfbench output it judged.
+CHECK_LINES = REPO_ROOT / "perf_check.jsonl"
+
+#: Bumped when the ledger layout changes.
+TRAJECTORY_SCHEMA = 2
+
+#: The tuning seed; perfbench holds seed 12 out for checking claims.
+SEED = 1
+
+#: Untraced runs per workload in an entry.
+RUNS = 3
+
+#: The part of perfbench's fingerprint that names the host.
+HOST_KEYS = ("python", "nproc", "platform")
 
 
 def _fail(message: str) -> NoReturn:
@@ -50,26 +68,13 @@ def _fail(message: str) -> NoReturn:
     sys.exit(2)
 
 
-def read_rates(run_path: Path) -> dict[str, float]:
-    """Extract ``sim_kcycles_per_s`` per benchmark from a pytest-benchmark run."""
-    data = json.loads(run_path.read_text(encoding="utf-8"))
-    rates: dict[str, float] = {}
-    for bench in data.get("benchmarks", []):
-        rate = bench.get("extra_info", {}).get("sim_kcycles_per_s")
-        if rate is not None:
-            rates[bench["name"]] = float(rate)
-    if not rates:
-        _fail(f"no sim_kcycles_per_s rates found in {run_path}")
-    return rates
+def load_benchmark() -> dict:
+    return json.loads(BENCHMARK.read_text(encoding="utf-8"))
 
 
 def load_trajectory() -> dict:
     if not TRAJECTORY.is_file():
-        return {
-            "schema": TRAJECTORY_SCHEMA,
-            "unit": "sim_kcycles_per_s",
-            "entries": [],
-        }
+        return {"schema": TRAJECTORY_SCHEMA, "entries": []}
     data = json.loads(TRAJECTORY.read_text(encoding="utf-8"))
     if data.get("schema") != TRAJECTORY_SCHEMA:
         _fail(
@@ -79,110 +84,171 @@ def load_trajectory() -> dict:
     return data
 
 
-def git_head() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
+def perfbench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run, parsed by :func:`parse_run`."""
+    command = [*load_benchmark()["command"], "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", str(trace)]
+    print(" ".join(command), file=sys.stderr, flush=True)
+    proc = subprocess.run(command, cwd=REPO_ROOT, capture_output=True,
+                          text=True)
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        _fail(f"perfbench exited {proc.returncode}")
+    return parse_run(proc.stdout)
 
 
-def git_date() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "show", "-s", "--format=%cs", "HEAD"],
-            cwd=REPO_ROOT, capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
-    return proc.stdout.strip() or "unknown"
+def parse_run(stdout: str) -> dict:
+    """perfbench's last two lines: the result, with the detail as ``detail``."""
+    detail, result = stdout.strip().splitlines()[-2:]
+    return {**json.loads(detail), **json.loads(result)}
 
 
-def cmd_append(args: argparse.Namespace) -> int:
-    rates = read_rates(Path(args.run))
+def host(run: dict) -> dict:
+    fingerprint = run["detail"]["fingerprint"]
+    return {key: fingerprint[key] for key in HOST_KEYS}
+
+
+def value(run: dict, name: str) -> float:
+    return run["metrics"][name]["value"]
+
+
+def run_failures(run: dict, workload: str, seed: int) -> list[str]:
+    """Refuse a run of another workload or seed; report a failed one."""
+    detail = run["detail"]
+    if (detail["workload"], detail["seed"]) != (workload, seed):
+        _fail(f"a {detail['workload']} run at seed {detail['seed']} cannot "
+              f"be compared with the entry's {workload} at seed {seed}")
+    if run["correct"] is not True or run["failed"]:
+        return [f"{workload} trace {detail['trace']}: correct "
+                f"{run['correct']}, {run['failed']} of {run['attempted']} "
+                "operations failed"]
+    return []
+
+
+def workload_record(benchmark: dict, plain: list[dict], traced: dict) -> dict:
+    """What an entry keeps of one workload's runs."""
+    layers = benchmark["per_layer"]
+    return {
+        "end_to_end": {
+            metric["name"]: [value(run, metric["name"]) for run in plain]
+            for metric in benchmark["end_to_end"]
+        },
+        "per_layer": {
+            metric["name"]: value(traced, metric["name"])
+            for metric in layers if metric["unit"] != "count"
+        },
+        "counts": {
+            metric["name"]: value(traced, metric["name"])
+            for metric in layers if metric["unit"] == "count"
+        },
+    }
+
+
+def judge(entry: dict, benchmark: dict, traced: dict[str, dict],
+          plain: dict[str, dict]) -> list[str]:
+    """Gate fresh runs (per workload) against ``entry``; return failures."""
+    failures: list[str] = []
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        recorded = entry["workloads"].get(workload)
+        if recorded is None:
+            failures.append(f"{workload}: not in the entry; run append")
+            continue
+        for run in (traced[workload], plain[workload]):
+            failures += run_failures(run, workload, entry["seed"])
+
+        print(f"{workload}: work counts (traced, seed {entry['seed']})")
+        for metric in benchmark["per_layer"]:
+            if metric["unit"] != "count":
+                continue
+            name, before = metric["name"], recorded["counts"][metric["name"]]
+            now = value(traced[workload], name)
+            worse = now > before if metric["better"] == "lower" else now < before
+            verdict = "WORSE" if worse else "better" if now != before else "="
+            print(f"  {name:32s} {now:>12} entry {before:>12}  {verdict}")
+            if worse:
+                failures.append(f"{workload} {name}: {now} against the "
+                                f"entry's {before} ({metric['better']} is better)")
+
+        fresh = plain[workload]
+        gated = host(fresh) == entry["host"]
+        if gated:
+            print(f"{workload}: end to end, gated against the worst of "
+                  f"the entry's {RUNS} runs")
+        else:
+            moved = {k: (entry["host"][k], v) for k, v in host(fresh).items()
+                     if entry["host"][k] != v}
+            print(f"{workload}: end to end, NOT gated: host differs {moved}")
+        for metric in benchmark["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            runs = recorded["end_to_end"][name]
+            now = value(fresh, name)
+            if metric["better"] == "lower":
+                worst = max(runs)
+                limit = worst * (1 + bound)
+                worse = now > limit
+            else:
+                worst = min(runs)
+                limit = worst * (1 - bound)
+                worse = now < limit
+            verdict = ("WORSE" if worse else "ok") if gated else "not gated"
+            print(f"  {name:32s} {now:12.6g} worst {worst:12.6g} "
+                  f"limit {limit:12.6g} {metric['unit']}  {verdict}")
+            if gated and worse:
+                failures.append(f"{workload} {name}: {now:.6g} is past "
+                                f"{limit:.6g} ({bound:.0%} from the entry's "
+                                f"worst run, {worst:.6g})")
+    return failures
+
+
+def cmd_append() -> int:
+    benchmark = load_benchmark()
+    seconds = benchmark["run_seconds"]
     trajectory = load_trajectory()
+    workloads = {}
+    for workload in (w["name"] for w in benchmark["workloads"]):
+        plain = [perfbench(workload, SEED, seconds, 0) for _ in range(RUNS)]
+        traced = perfbench(workload, SEED, seconds, 1)
+        failures = [f for run in (*plain, traced)
+                    for f in run_failures(run, workload, SEED)]
+        if failures:
+            _fail("not recording failed runs: " + "; ".join(failures))
+        workloads[workload] = workload_record(benchmark, plain, traced)
+    fingerprint = traced["detail"]["fingerprint"]
     entry = {
-        "commit": args.commit or git_head(),
-        "date": args.date or git_date(),
-        "rates": dict(sorted(rates.items())),
+        "commit": fingerprint["commit"],
+        "code_version": fingerprint["code_version"],
+        "host": host(traced),
+        "seed": SEED,
+        "seconds": seconds,
+        "workloads": workloads,
     }
     trajectory["entries"].append(entry)
-    TRAJECTORY.write_text(
-        json.dumps(trajectory, indent=2) + "\n", encoding="utf-8"
-    )
-    print(f"appended entry {entry['commit']} ({entry['date']}):")
-    for name, rate in entry["rates"].items():
-        print(f"  {name}: {rate} kcycles/s")
+    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n",
+                          encoding="utf-8")
+    print(f"appended entry {entry['commit']} on {entry['host']}")
     print(f"wrote {TRAJECTORY}")
     return 0
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    rates = read_rates(Path(args.run))
-    trajectory = load_trajectory()
-    if not trajectory["entries"]:
-        print(
-            "perf_trajectory: no recorded entries yet; run append first",
-            file=sys.stderr,
-        )
-        return 0
-    latest = trajectory["entries"][-1]
-    recorded = latest["rates"]
-    print(
-        f"comparing against entry {latest['commit']} ({latest['date']}), "
-        f"tolerance {args.tolerance}"
-    )
-    failures = []
-    for name in sorted(recorded):
-        reference = recorded[name]
-        floor = args.tolerance * reference
-        current = rates.get(name)
-        if current is None:
-            failures.append(f"{name}: missing from this run")
-            continue
-        verdict = "ok" if current >= floor else "REGRESSION"
-        print(
-            f"  {name}: {current} vs recorded {reference} "
-            f"(floor {floor:.1f}) {verdict}"
-        )
-        if current < floor:
-            failures.append(
-                f"{name}: {current} kcycles/s is below {floor:.1f} "
-                f"({args.tolerance} x recorded {reference})"
-            )
-    for name in sorted(set(rates) - set(recorded)):
-        print(f"  {name}: {rates[name]} (new benchmark, no recorded floor)")
-    if args.regress_pct is not None:
-        # Stricter gate against the *best* rate ever recorded, so a slow
-        # creep across several entries cannot hide behind the loose
-        # latest-entry tolerance.
-        best: dict[str, tuple[float, str]] = {}
-        for entry in trajectory["entries"]:
-            for name, rate in entry["rates"].items():
-                if rate > best.get(name, (0.0, ""))[0]:
-                    best[name] = (float(rate), entry["commit"])
-        factor = 1.0 - args.regress_pct / 100.0
-        print(f"best-entry gate: within {args.regress_pct}% of the best rate")
-        for name in sorted(best):
-            reference, commit = best[name]
-            floor = factor * reference
-            current = rates.get(name)
-            if current is None:
-                continue  # already reported missing above
-            verdict = "ok" if current >= floor else "REGRESSION"
-            print(
-                f"  {name}: {current} vs best {reference} "
-                f"(entry {commit}, floor {floor:.1f}) {verdict}"
-            )
-            if current < floor:
-                failures.append(
-                    f"{name}: {current} kcycles/s is more than "
-                    f"{args.regress_pct}% below the best recorded rate "
-                    f"{reference} (entry {commit})"
-                )
+def cmd_check() -> int:
+    benchmark = load_benchmark()
+    entries = load_trajectory()["entries"]
+    if not entries:
+        _fail(f"{TRAJECTORY.name} has no entry yet; run append first")
+    entry = entries[-1]
+    names = [w["name"] for w in benchmark["workloads"]]
+    # Counts from the smallest budget: perfbench always runs one untraced
+    # and one traced pass, and the counts come from the traced one.
+    traced = {w: perfbench(w, entry["seed"], 0, 1) for w in names}
+    plain = {w: perfbench(w, entry["seed"], entry["seconds"], 0) for w in names}
+    with CHECK_LINES.open("w", encoding="utf-8") as out:
+        for run in (*traced.values(), *plain.values()):
+            result = {k: v for k, v in run.items() if k != "detail"}
+            out.write(json.dumps({"detail": run["detail"]}) + "\n")
+            out.write(json.dumps(result) + "\n")
+    print(f"comparing against entry {entry['commit']} on {entry['host']}")
+    failures = judge(entry, benchmark, traced, plain)
     if failures:
         print("perf_trajectory: FAILED", file=sys.stderr)
         for failure in failures:
@@ -195,33 +261,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="mode", required=True)
-    append = sub.add_parser(
-        "append", help="record a fresh run as the newest trajectory entry")
-    append.add_argument(
-        "--run", required=True, metavar="JSON",
-        help="pytest-benchmark JSON output to record")
-    append.add_argument(
-        "--commit", default=None, help="commit id (default: git HEAD)")
-    append.add_argument(
-        "--date", default=None, help="entry date (default: git HEAD date)")
-    append.set_defaults(func=cmd_append)
-    check = sub.add_parser(
-        "check", help="fail when a fresh run regresses past the floor")
-    check.add_argument(
-        "--run", required=True, metavar="JSON",
-        help="pytest-benchmark JSON output to compare")
-    check.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="minimum acceptable fraction of the recorded rate "
-             f"(default: {DEFAULT_TOLERANCE})")
-    check.add_argument(
-        "--regress-pct", type=float, default=None, nargs="?", const=20.0,
-        metavar="PCT",
-        help="also fail when a rate drops more than PCT%% below the best "
-             "rate in any recorded entry (default when given: 20)")
-    check.set_defaults(func=cmd_check)
-    args = parser.parse_args(argv)
-    return args.func(args)
+    sub.add_parser("append", help="record fresh benchmark runs as the newest entry")
+    sub.add_parser("check", help="fail when this checkout regresses against the entry")
+    mode = parser.parse_args(argv).mode
+    return cmd_append() if mode == "append" else cmd_check()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,10 @@ are built on:
 
 * Entry writes go through a temp file + atomic rename, so readers never
   observe a torn entry; entries that still fail to unpickle (stale
-  formats, partial disk writes) are deleted and treated as misses.
+  formats, partial disk writes) are deleted and treated as misses.  An
+  entry that cannot be opened or read right now (``EMFILE``, ``EIO``)
+  is a miss that keeps the file: a transient error never destroys a
+  stored result.
 * A process that dies between write and rename leaves a ``*.tmp<pid>``
   orphan behind.  :meth:`ResultCache.stats` counts such orphans and
   :meth:`ResultCache.clear` sweeps them.
@@ -24,12 +27,10 @@ are built on:
   shared counter-file rewrite would.  :meth:`usage_stats` folds the
   deltas.  The counters stay advisory: a corrupt or missing sidecar never
   affects correctness, and :meth:`ResultCache.clear` resets them.
-* Every :meth:`put` appends a record to an ``_index.jsonl`` sidecar
-  (key, payload size, store timestamp); :meth:`index` folds it against
-  the directory.  With ``max_bytes`` set the store is size-bounded:
-  :meth:`put` evicts least-recently-used entries (file mtime — refreshed
-  on every :meth:`get` hit) until the store fits, never evicting the
-  entry just written.
+* With ``max_bytes`` set the store is size-bounded: :meth:`put` evicts
+  least-recently-used entries (file mtime — refreshed on every
+  :meth:`get` hit) until the store fits, never evicting the entry just
+  written.
 * Campaigns treat *store entry presence* as the done-authority (see
   :mod:`repro.runner.campaign`), so eviction must never silently undo a
   completed unit: ``protect_keys`` names keys (directly or through a
@@ -43,10 +44,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import time
 from collections.abc import Callable, Collection, Iterable
 from pathlib import Path
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from repro.core.metrics import RunMetrics
 
@@ -56,9 +56,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Bumped when the on-disk payload layout changes.
 CACHE_FORMAT = 1
 
-#: Sidecar files (never counted as cache entries).
+#: The usage-counter sidecar (never counted as a cache entry).
 USAGE_DELTAS_NAME = "_usage_deltas.jsonl"
-INDEX_NAME = "_index.jsonl"
 
 
 def default_cache_dir() -> Path:
@@ -149,9 +148,9 @@ class ResultCache:
         try:
             with path.open("rb") as handle:
                 payload = pickle.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
+        except OSError:
+            return None  # absent, or unreadable for now: keep the entry
+        except (pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
             self._discard(path)
             return None
@@ -183,15 +182,7 @@ class ResultCache:
                 handle,
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
-        size = tmp.stat().st_size
         tmp.replace(path)
-        try:
-            _append_jsonl(
-                self.directory / INDEX_NAME,
-                {"key": key, "bytes": size, "ts": round(time.time(), 3)},  # noqa: REP001 - store bookkeeping, not simulated time
-            )
-        except OSError:
-            pass  # the index is advisory; the entry itself landed
         if self.max_bytes is not None:
             self.evict(self.max_bytes, protect=key)
 
@@ -212,7 +203,7 @@ class ResultCache:
         )
 
     def clear(self) -> int:
-        """Delete every entry, orphaned temp file and usage/index sidecar.
+        """Delete every entry, orphaned temp file and ``_*.jsonl`` sidecar.
 
         Returns the number of *entries* removed (orphans and sidecars are
         swept but not counted, matching what ``cache info`` reports).
@@ -223,27 +214,10 @@ class ResultCache:
                 removed += 1
         for path in self.orphan_temps():
             self._discard(path)
-        for name in (USAGE_DELTAS_NAME, INDEX_NAME):
-            self._discard(self.directory / name)
+        if self.directory.is_dir():
+            for path in self.directory.glob("_*.jsonl"):
+                self._discard(path)
         return removed
-
-    def index(self) -> dict[str, dict[str, Any]]:
-        """Fold ``_index.jsonl`` against the directory: key -> metadata.
-
-        Keys whose entry file has vanished (evicted, cleared, discarded
-        as corrupt) are dropped; the newest record per key wins.
-        """
-        folded: dict[str, dict[str, Any]] = {}
-        for record in _read_jsonl(self.directory / INDEX_NAME):
-            key = record.get("key")
-            if isinstance(key, str):
-                folded[key] = {
-                    "bytes": record.get("bytes"), "ts": record.get("ts")
-                }
-        return {
-            key: meta for key, meta in folded.items()
-            if self.contains(key)
-        }
 
     def evict(
         self, max_bytes: int, protect: str | Iterable[str] | None = None

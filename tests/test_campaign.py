@@ -305,16 +305,14 @@ class TestStoreBounds:
         assert cache.contains("b" * 64)
         assert not cache.contains("a" * 64)
 
-    def test_index_follows_the_directory(self, tmp_path):
+    def test_clear_sweeps_every_sidecar(self, tmp_path):
+        # Stores written before a sidecar was retired still clear to empty.
         cache = ResultCache(tmp_path / "c")
-        metrics = _job().execute()
-        cache.put("a" * 64, metrics)
-        cache.put("b" * 64, metrics)
-        index = cache.index()
-        assert set(index) == {"a" * 64, "b" * 64}
-        assert all(meta["bytes"] > 0 for meta in index.values())
-        os.unlink(cache._path("a" * 64))
-        assert set(cache.index()) == {"b" * 64}
+        cache.put("a" * 64, _job().execute())
+        cache.record_usage(hits=1)
+        (cache.directory / "_index.jsonl").write_text('{"key": "a"}\n')
+        assert cache.clear() == 1
+        assert list(cache.directory.iterdir()) == []
 
 
 def _run_campaign_worker(directory, name):

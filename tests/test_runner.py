@@ -3,6 +3,7 @@ and the opt-in observability layer (JSONL event log, progress line,
 cache hit-rate statistics)."""
 
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -168,6 +169,23 @@ class TestResultCache:
         path.write_bytes(b"not a pickle")
         assert cache.get("k" * 64) is None
         assert cache.entries() == []
+
+    def test_unreadable_entry_is_a_miss_that_keeps_the_file(
+            self, tmp_path, monkeypatch):
+        # A transient open error (here: out of file descriptors) must not
+        # destroy a valid stored result.
+        cache = ResultCache(tmp_path / "c")
+        metrics = _job().execute()
+        cache.put("k" * 64, metrics)
+
+        def no_descriptors(*args, **kwargs):
+            raise OSError(errno.EMFILE, "Too many open files")  # noqa: REP003 - the OS error under test
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(cache.entries()[0]), "open", no_descriptors)
+            assert cache.get("k" * 64) is None
+        assert cache.contains("k" * 64)
+        assert cache.get("k" * 64) == metrics
 
     def test_wrong_format_is_discarded(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
