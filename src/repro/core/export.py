@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
-from collections.abc import Sequence
-from typing import Any
+from collections.abc import Iterable, Sequence
+from typing import Any, NamedTuple
 
 from pathlib import Path
 
@@ -29,35 +30,85 @@ from repro.errors import UsageError
 from repro.utils.export import write_text
 
 __all__ = [
+    "Fragment",
     "exploration_to_dict",
     "exploration_to_json",
     "export_runs",
-    "metrics_to_csv",
     "metrics_to_dict",
-    "metrics_to_json",
     "metrics_to_nested_dict",
     "profile_to_csv",
+    "run_fragment",
     "runs_to_text",
     "write_text",
 ]
 
 
-def runs_to_text(runs: Sequence[RunMetrics], fmt: str = "csv") -> str:
+class Fragment(NamedTuple):
+    """One run's share of :func:`runs_to_text` output in one format.
+
+    ``body`` is the run's CSV data row or its JSON array element;
+    ``header`` is the CSV header line of the run's columns (one shared
+    string per column set) and empty for JSON.  A run's fragment
+    depends on nothing but the run, so a caller may keep it and hand it
+    back to :func:`runs_to_text` in place of the run.
+    """
+
+    header: str
+    body: str
+
+
+def run_fragment(run: RunMetrics, fmt: str) -> Fragment:
+    """Render one run's :class:`Fragment` in ``fmt`` (``csv`` or ``json``)."""
+    if fmt == "csv":
+        row = metrics_to_dict(run)
+        return Fragment(_csv_header(tuple(row)), _csv_line(row.values()))
+    if fmt == "json":
+        element = json.dumps(metrics_to_nested_dict(run), indent=2)
+        # The array element sits one level deep: JSON strings hold no
+        # raw newline, so indenting every line is the nested rendering.
+        return Fragment("", "  " + element.replace("\n", "\n  "))
+    raise UsageError(f"unknown export format {fmt!r}; use csv or json")
+
+
+def runs_to_text(
+    runs: Sequence[RunMetrics | Fragment], fmt: str = "csv"
+) -> str:
     """Render ``runs`` in the stable export schema, as text.
 
     The single formatting authority behind every run-sequence export
     surface (``repro export``, campaign exports, the service's
     ``results`` endpoint): ``csv`` is the flat :func:`metrics_to_dict`
-    column schema, ``json`` the nested :func:`metrics_to_nested_dict`
-    document.  Because all surfaces share this function, a daemon's
-    streamed results are byte-identical to a local export of the same
-    runs.
+    column schema under the first run's header, ``json`` an array of
+    nested :func:`metrics_to_nested_dict` documents.  The text is a
+    header plus the join of per-run fragments; an item may be a run or
+    the :func:`run_fragment` already rendered from one in ``fmt``, which
+    is how the service reuses rows it has served.  Because all surfaces
+    share this function, a daemon's streamed results are byte-identical
+    to a local export of the same runs.
     """
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"unknown export format {fmt!r}; use csv or json")
+    fragments = [
+        run if isinstance(run, Fragment) else run_fragment(run, fmt)
+        for run in runs
+    ]
+    if not fragments:
+        return "[]" if fmt == "json" else ""
+    bodies = [fragment.body for fragment in fragments]
     if fmt == "json":
-        return metrics_to_json(runs)
-    if fmt == "csv":
-        return metrics_to_csv(runs)
-    raise UsageError(f"unknown export format {fmt!r}; use csv or json")
+        return "[\n" + ",\n".join(bodies) + "\n]"
+    return fragments[0].header + "".join(bodies)
+
+
+def _csv_line(values: Iterable[Any]) -> str:
+    out = io.StringIO()
+    csv.writer(out).writerow(values)
+    return out.getvalue()
+
+
+@functools.lru_cache(maxsize=8)
+def _csv_header(columns: tuple[str, ...]) -> str:
+    return _csv_line(columns)
 
 
 def export_runs(
@@ -110,23 +161,6 @@ def metrics_to_nested_dict(metrics: RunMetrics) -> dict[str, Any]:
         else:
             out[field.name] = value
     return out
-
-
-def metrics_to_json(runs: Sequence[RunMetrics], indent: int = 2) -> str:
-    """Render runs as a JSON array, one object per run (nested queues)."""
-    return json.dumps([metrics_to_nested_dict(m) for m in runs], indent=indent)
-
-
-def metrics_to_csv(runs: Sequence[RunMetrics]) -> str:
-    """Render runs as CSV text, one row per run."""
-    if not runs:
-        return ""
-    rows = [metrics_to_dict(m) for m in runs]
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def profile_to_csv(profile: LatencyProfile) -> str:

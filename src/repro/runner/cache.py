@@ -29,8 +29,8 @@ are built on:
   affects correctness, and :meth:`ResultCache.clear` resets them.
 * With ``max_bytes`` set the store is size-bounded: :meth:`put` evicts
   least-recently-used entries (file mtime — refreshed on every
-  :meth:`get` hit) until the store fits, never evicting the entry just
-  written.
+  :meth:`get` hit and :meth:`touch`) until the store fits, never
+  evicting the entry just written.
 * Campaigns treat *store entry presence* as the done-authority (see
   :mod:`repro.runner.campaign`), so eviction must never silently undo a
   completed unit: ``protect_keys`` names keys (directly or through a
@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import time
 from collections.abc import Callable, Collection, Iterable
 from pathlib import Path
 from typing import NamedTuple
@@ -66,6 +67,20 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override).expanduser()
     return Path("~/.cache/repro").expanduser()
+
+
+class EntryId(NamedTuple):
+    """Which file a key's entry is, as :meth:`ResultCache.entry_id` sees it.
+
+    :meth:`ResultCache.put` renames a new file over an entry (a new
+    inode), and a truncation or in-place rewrite moves its size or
+    mtime, so an entry changed since an ``EntryId`` was taken compares
+    unequal to it.
+    """
+
+    ino: int
+    size: int
+    mtime_ns: int
 
 
 class CacheStats(NamedTuple):
@@ -166,6 +181,35 @@ class ResultCache:
         except OSError:
             pass
         return payload["metrics"]
+
+    def entry_id(self, key: str) -> EntryId | None:
+        """The :class:`EntryId` of ``key``'s entry file; None when absent.
+
+        One ``stat``, no unpickle: a present but corrupt entry has an id
+        too, and only :meth:`get` finds it out.
+        """
+        try:
+            stat = os.stat(self._path(key))
+        except OSError:
+            return None
+        return EntryId(stat.st_ino, stat.st_size, stat.st_mtime_ns)
+
+    def touch(self, key: str, seen: EntryId) -> EntryId:
+        """Refresh ``key``'s LRU recency as a :meth:`get` hit does.
+
+        Stamps the entry's mtime with an explicit time and returns
+        ``seen`` carrying that stamp, so a caller holding the id can
+        tell an untouched entry from a changed one without another
+        ``stat``.  A filesystem that keeps coarser stamps makes the
+        returned id never match again: a lost shortcut, not a wrong
+        answer.  An entry that is gone returns ``seen`` unchanged.
+        """
+        stamp = time.time_ns()  # noqa: REP001 - LRU recency is host time
+        try:
+            os.utime(self._path(key), ns=(stamp, stamp))
+        except OSError:
+            return seen
+        return seen._replace(mtime_ns=stamp)
 
     def contains(self, key: str) -> bool:
         """Whether an entry file exists for ``key`` (no unpickle check)."""

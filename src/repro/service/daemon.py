@@ -16,6 +16,8 @@ Design points, in the order they matter:
   simulation pass.  A re-submit after completion also returns the same
   id; its results are served instantly from the store.  A done
   submission whose stored results vanished is re-attempted instead.
+  One presence pass decides the submit and counts its payload's
+  ``done``.
 * **Cache hits finish at submit.**  A new submission whose every job is
   already stored needs no simulation: :meth:`submit` marks it done
   inside its locked presence check and appends one usage delta to the
@@ -29,6 +31,17 @@ Design points, in the order they matter:
   has served; a forgotten submission's event log is deleted too.  Queued and running submissions are never forgotten.  Ids
   are content-addressed, so a resubmit of a forgotten sweep finishes at
   submit under the same id.
+* **Rendered-row memo.**  A job key is a content hash, so a key's
+  export row cannot change while its store entry is unchanged.
+  ``results`` keeps each served key's rendered
+  :class:`~repro.core.export.Fragment` per format with the entry's
+  :class:`~repro.runner.cache.EntryId`; a later ``results`` stats the
+  entry and reuses the fragment while the id matches, refreshing the
+  entry's LRU recency as a store read would.  A missing entry still
+  answers ``incomplete``, and a changed one (rewritten, truncated,
+  replaced) is read and rendered afresh, so the memo never answers for
+  an entry it has not seen.  It keeps the :data:`RESULTS_KEPT` most
+  recently served keys.
 * **Backpressure.**  The submission queue is bounded
   (``queue_depth``); a submit that would overflow it is rejected with
   the typed ``queue-full`` error rather than queued into unbounded
@@ -60,10 +73,9 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.core.export import runs_to_text
-from repro.core.metrics import RunMetrics
+from repro.core.export import Fragment, run_fragment, runs_to_text
 from repro.errors import RunnerError
-from repro.runner.cache import ResultCache, _read_jsonl
+from repro.runner.cache import EntryId, ResultCache, _read_jsonl
 from repro.runner.events import EventLog
 from repro.runner.job import Job
 from repro.runner.pool import DEFAULT_RETRIES, BatchRunner
@@ -80,6 +92,11 @@ DEFAULT_QUEUE_DEPTH = 16
 
 #: Finished submissions the daemon remembers; older ones are forgotten.
 FINISHED_KEPT = 1024
+
+#: Job keys whose rendered export rows ``results`` keeps, least recently
+#: served forgotten first: under 1 KB a key per format, so under 1 MB
+#: for CSV rows.
+RESULTS_KEPT = 1024
 
 #: Directory names under the daemon's state directory.
 STORE_DIR = "store"
@@ -112,9 +129,8 @@ class Submission:
     events_path: Path | None = None
     cancel_requested: bool = False
 
-    def snapshot(self, store: ResultCache) -> dict[str, Any]:
-        """Status payload: lifecycle state plus store-backed progress."""
-        done = sum(1 for key in self.keys if store.contains(key))
+    def snapshot(self, done: int) -> dict[str, Any]:
+        """Status payload: lifecycle state plus ``done`` stored keys."""
         return {
             "id": self.id,
             "state": self.state,
@@ -162,6 +178,9 @@ class ReproDaemon:
         self._submissions: dict[str, Submission] = {}
         #: Ids of finished submissions, least recently finished first.
         self._finished: dict[str, None] = {}
+        #: Served keys' store-entry ids and export fragments by format,
+        #: least recently served first.
+        self._rows: dict[str, tuple[EntryId, dict[str, Fragment]]] = {}
         self._threads: list[threading.Thread] = []
         self._draining = False
         self._stopping = False
@@ -252,14 +271,15 @@ class ReproDaemon:
         sub_id = submission_id(keys)
         with self._wake:
             existing = self._submissions.get(sub_id)
-            stored = all(self.cache.contains(key) for key in keys)
+            done = self._count_stored(keys)
+            stored = done == len(keys)
             if existing is not None and (
                 existing.state in (QUEUED, RUNNING)
                 or existing.state == DONE and stored
             ):
                 # One simulation pass serves every identical client.
                 existing.clients += 1
-                payload = existing.snapshot(self.cache)
+                payload = existing.snapshot(done)
                 payload.update({"ok": True, "coalesced": True})
                 return payload
             if self._draining:
@@ -304,9 +324,13 @@ class ReproDaemon:
                 self._wake.notify_all()
         if stored:
             self.cache.record_usage(hits=len(keys))
-        payload = submission.snapshot(self.cache)
+        payload = submission.snapshot(done)
         payload.update({"ok": True, "coalesced": False})
         return payload
+
+    def _count_stored(self, keys: list[str]) -> int:
+        """How many of ``keys`` have a store entry (one ``stat`` each)."""
+        return sum(1 for key in keys if self.cache.contains(key))
 
     def _get(self, sub_id: Any) -> Submission:
         if not isinstance(sub_id, str) or not sub_id:
@@ -324,7 +348,7 @@ class ReproDaemon:
 
     def status(self, sub_id: Any) -> dict[str, Any]:
         submission = self._get(sub_id)
-        payload = submission.snapshot(self.cache)
+        payload = submission.snapshot(self._count_stored(submission.keys))
         payload["ok"] = True
         return payload
 
@@ -359,26 +383,54 @@ class ReproDaemon:
                 "results need state 'done'"
                 + (f" ({submission.error})" if submission.error else ""),
             )
-        runs: list[RunMetrics] = []
+        rows: list[Fragment] = []
         missing = 0
         for key in submission.keys:
-            metrics = self.cache.get(key)
-            if metrics is None:
+            row = self._row(key, fmt)
+            if row is None:
                 missing += 1
             else:
-                runs.append(metrics)
+                rows.append(row)
         if missing:
             raise ServiceError(
                 "incomplete",
-                f"{missing} of {len(submission.keys)} stored result(s) "
-                "vanished from the store; resubmit to re-simulate",
+                f"incomplete: {missing} of {len(submission.keys)} stored "
+                "result(s) are missing or unreadable; resubmit to "
+                "re-simulate",
             )
         return {
             "ok": True,
             "id": submission.id,
             "format": fmt,
-            "text": runs_to_text(runs, fmt),
+            "text": runs_to_text(rows, fmt),
         }
+
+    def _row(self, key: str, fmt: str) -> Fragment | None:
+        """``key``'s export fragment in ``fmt``; None when not readable.
+
+        One ``stat`` and one ``utime`` while the entry is the one the
+        memo saw; otherwise a store read and a render, remembered.
+        """
+        seen = self.cache.entry_id(key)
+        if seen is None:
+            return None
+        with self._lock:
+            memo = self._rows.get(key)
+        formats = memo[1] if memo is not None and memo[0] == seen else {}
+        row = formats.get(fmt)
+        if row is None:
+            metrics = self.cache.get(key)
+            if metrics is None:
+                return None  # unreadable: get discarded it
+            row = run_fragment(metrics, fmt)
+            formats = {**formats, fmt: row}
+        stamped = self.cache.touch(key, seen)
+        with self._lock:
+            self._rows.pop(key, None)
+            self._rows[key] = (stamped, formats)
+            while len(self._rows) > RESULTS_KEPT:
+                del self._rows[next(iter(self._rows))]
+        return row
 
     def cancel(self, sub_id: Any) -> dict[str, Any]:
         """Cancel a submission; running work stops at a chunk boundary."""
@@ -395,7 +447,7 @@ class ReproDaemon:
                     self._wake.notify_all()
             if submission.state in (QUEUED, RUNNING):
                 submission.cancel_requested = True
-        payload = submission.snapshot(self.cache)
+        payload = submission.snapshot(self._count_stored(submission.keys))
         payload["ok"] = True
         return payload
 
@@ -536,6 +588,7 @@ __all__ = [
     "FAILED",
     "FINISHED_KEPT",
     "QUEUED",
+    "RESULTS_KEPT",
     "RUNNING",
     "TERMINAL",
     "ReproDaemon",

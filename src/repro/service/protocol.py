@@ -61,7 +61,7 @@ ERROR_CODES = (
     "draining",       # daemon is draining: no new submissions
     "unknown-job",    # no submission with that id, or a forgotten finished one
     "not-done",       # results requested before the submission settled
-    "incomplete",     # stored results vanished (store cleared externally)
+    "incomplete",     # stored results vanished or unreadable (store changed externally)
     "internal",       # unexpected server-side failure
 )
 

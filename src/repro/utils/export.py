@@ -1,6 +1,6 @@
 """Plain-text file output.
 
-The metric and experiment exporters (``metrics_to_csv`` & co.) live in
+The metric and experiment exporters (``runs_to_text`` & co.) live in
 :mod:`repro.core.export`: they are views over ``repro.core`` result
 types, and importing them here would point upward through the
 architecture tower (REP012).

@@ -193,14 +193,14 @@ class TestStallCauseSurfacing:
             == metrics.mem_pipeline_stall_cycles)
 
     def test_export_columns_are_stable(self):
-        from repro.core.export import metrics_to_csv, metrics_to_dict
+        from repro.core.export import metrics_to_dict, runs_to_text
 
         metrics = run_kernel(tiny_gpu(), get_benchmark("nn", SCALE))
         flat = metrics_to_dict(metrics)
         for cause in STALL_CAUSE_KEYS:
             column = f"mem_stall_{cause[len('stall_'):]}_cycles"
             assert column in flat
-        header = metrics_to_csv([metrics]).splitlines()[0]
+        header = runs_to_text([metrics], "csv").splitlines()[0]
         assert "mem_stall_mshr_full_cycles" in header
         assert "mem_stall_missq_full_cycles" in header
 

@@ -11,9 +11,11 @@ from repro.sim.config import tiny_gpu
 from repro.core.export import (
     exploration_to_dict,
     exploration_to_json,
-    metrics_to_csv,
     metrics_to_dict,
+    metrics_to_nested_dict,
     profile_to_csv,
+    run_fragment,
+    runs_to_text,
     write_text,
 )
 from repro.workloads.suite import get_benchmark
@@ -33,13 +35,41 @@ class TestMetricsExport:
             run_kernel(tiny_gpu(), get_benchmark(n, 0.1))
             for n in ("nn", "leukocyte")
         ]
-        text = metrics_to_csv(runs)
+        text = runs_to_text(runs, "csv")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert [r["benchmark"] for r in rows] == ["nn", "leukocyte"]
         assert float(rows[0]["ipc"]) > 0
 
     def test_empty_runs(self):
-        assert metrics_to_csv([]) == ""
+        assert runs_to_text([], "csv") == ""
+        assert runs_to_text([], "json") == "[]"
+
+    def test_fragments_join_to_the_whole_document(self):
+        """Header plus per-run fragments is exactly the one-writer CSV
+        and the one-``dumps`` JSON array, whether the items are runs or
+        fragments rendered earlier."""
+        runs = [
+            run_kernel(tiny_gpu(), get_benchmark(n, 0.05))
+            for n in ("nn", "sc", "nn")
+        ]
+        runs[0].extras["note"] = {"lines": "a\nb", "empty": {}}
+        for count in range(len(runs) + 1):
+            subset = runs[:count]
+            out = io.StringIO()
+            if subset:
+                rows = [metrics_to_dict(m) for m in subset]
+                writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows(rows)
+            whole = {
+                "csv": out.getvalue(),
+                "json": json.dumps(
+                    [metrics_to_nested_dict(m) for m in subset], indent=2),
+            }
+            for fmt, text in whole.items():
+                assert runs_to_text(subset, fmt) == text
+                fragments = [run_fragment(m, fmt) for m in subset]
+                assert runs_to_text(fragments, fmt) == text
 
 
 class TestProfileExport:

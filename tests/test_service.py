@@ -9,6 +9,7 @@ test controls exactly when simulation begins.  Socket tests run the real
 accept loop in a thread over a unix socket in ``tmp_path``.
 """
 
+import collections
 import contextlib
 import dataclasses
 import socket
@@ -39,6 +40,7 @@ from repro.service.daemon import (
     RUNNING,
     TERMINAL,
 )
+import repro.service.daemon as daemon_module
 from repro.service.protocol import decode_line, encode_line
 
 #: Cheap sweep: tiny config, one benchmark, heavily scaled down.
@@ -56,6 +58,32 @@ def _daemon(tmp_path, **overrides):
     defaults = dict(workers=1, jobs=1)
     defaults.update(overrides)
     return ReproDaemon(tmp_path / "state", **defaults)
+
+
+def _stored(tmp_path, spec):
+    """Store ``spec``'s results through a worker; return store, CSV."""
+    store = ResultCache(tmp_path / "store")
+    worker_daemon = _daemon(tmp_path / "w", cache=store)
+    queued = worker_daemon.submit(spec)
+    assert queued["state"] == QUEUED  # nothing stored yet
+    worker_daemon.start()
+    assert worker_daemon.wait_idle(timeout=300)
+    worker_csv = worker_daemon.results(queued["id"], "csv")["text"]
+    assert worker_daemon.stop(timeout=10)
+    return store, worker_csv
+
+
+def _counting(monkeypatch, name):
+    """Count calls of ``ResultCache.<name>`` by key, calling through."""
+    calls = collections.Counter()
+    real = getattr(ResultCache, name)
+
+    def counted(self, key, *args):
+        calls[key] += 1
+        return real(self, key, *args)
+
+    monkeypatch.setattr(ResultCache, name, counted)
+    return calls
 
 
 def _event_kinds(submission):
@@ -274,21 +302,9 @@ class TestStoredSubmissions:
     """A submission whose jobs are all stored finishes inside ``submit``:
     a presence check, no batch, no store read and no event log."""
 
-    def _stored(self, tmp_path, spec):
-        """Store ``spec``'s results through a worker; return store, CSV."""
-        store = ResultCache(tmp_path / "store")
-        worker_daemon = _daemon(tmp_path / "w", cache=store)
-        queued = worker_daemon.submit(spec)
-        assert queued["state"] == QUEUED  # nothing stored yet
-        worker_daemon.start()
-        assert worker_daemon.wait_idle(timeout=300)
-        worker_csv = worker_daemon.results(queued["id"], "csv")["text"]
-        assert worker_daemon.stop(timeout=10)
-        return store, worker_csv
-
     def test_all_stored_submission_is_done_at_submit(self, tmp_path):
         spec = _spec(seeds=[1, 2, 3])
-        store, worker_csv = self._stored(tmp_path, spec)
+        store, worker_csv = _stored(tmp_path, spec)
         daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
         events_dir = daemon.state_dir / EVENTS_DIR
         logs_before = sorted(events_dir.iterdir())
@@ -320,7 +336,7 @@ class TestStoredSubmissions:
         spec = _spec(seeds=[1, 2])
         serial_csv = runs_to_text(
             BatchRunner(jobs=1).run(build_jobs(spec)), "csv")
-        store, _ = self._stored(tmp_path, spec)
+        store, _ = _stored(tmp_path, spec)
         entry = store._path(build_jobs(spec)[1].key())
         entry.write_bytes(entry.read_bytes()[:20])  # present, unreadable
         daemon = _daemon(tmp_path / "s", cache=store)
@@ -348,7 +364,7 @@ class TestStoredSubmissions:
         daemon._execute(submission)  # cancelled before its first chunk
         assert daemon.status(queued["id"])["state"] == CANCELLED
         assert submission.events_path.exists()
-        self._stored(tmp_path, spec)
+        _stored(tmp_path, spec)
         again = daemon.submit(spec)
         assert (again["state"], again["coalesced"]) == (DONE, False)
         assert daemon.events(queued["id"])["events"] == []
@@ -356,7 +372,7 @@ class TestStoredSubmissions:
 
     def test_registry_forgets_the_oldest_finished_submissions(self, tmp_path):
         spec = _spec()
-        store, worker_csv = self._stored(tmp_path, spec)
+        store, worker_csv = _stored(tmp_path, spec)
         daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
         oldest = daemon.submit(spec)
         assert oldest["state"] == DONE
@@ -386,7 +402,7 @@ class TestStoredSubmissions:
 
     def test_full_queue_does_not_refuse_a_stored_submission(self, tmp_path):
         spec = _spec(seeds=[1, 2])
-        store, worker_csv = self._stored(tmp_path, spec)
+        store, worker_csv = _stored(tmp_path, spec)
         daemon = _daemon(tmp_path / "s", cache=store, queue_depth=1)
         cold = daemon.submit(_spec(seeds=[3]))  # no worker: stays queued
         assert cold["state"] == QUEUED
@@ -394,6 +410,152 @@ class TestStoredSubmissions:
         assert (status["state"], status["coalesced"]) == (DONE, False)
         assert daemon.results(status["id"], "csv")["text"] == worker_csv
         assert daemon.status(cold["id"])["state"] == QUEUED
+
+
+    def test_one_presence_pass_per_submit(self, tmp_path, monkeypatch):
+        spec = _spec(seeds=[1, 2, 1])  # a duplicate job: two unique keys
+        store, _ = _stored(tmp_path, spec)
+        daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
+        keys = [job.key() for job in build_jobs(_spec(seeds=[1, 2]))]
+        cold_keys = [job.key() for job in build_jobs(_spec(seeds=[3, 4]))]
+        cases = (
+            (spec, keys, (DONE, False)),  # all stored
+            (spec, keys, (DONE, True)),  # coalesced onto a done one
+            (_spec(seeds=[3, 4]), cold_keys, (QUEUED, False)),  # queued
+        )
+        calls = _counting(monkeypatch, "contains")
+        for submitted, unique, outcome in cases:
+            calls.clear()
+            status = daemon.submit(submitted)
+            assert (status["state"], status["coalesced"]) == outcome
+            assert dict(calls) == {key: 1 for key in unique}
+            assert status["done"] == (len(unique) if outcome[0] == DONE else 0)
+
+
+class TestResultsMemo:
+    """``results`` keeps served keys' rendered rows and reuses them while
+    their store entries are unchanged."""
+
+    SEEDS = [1, 2, 3]
+
+    def _served(self, tmp_path):
+        """A daemon over a store holding every seed's result, plus the
+        serial reference runs by seed."""
+        store, _ = _stored(tmp_path, _spec(seeds=self.SEEDS))
+        runs = BatchRunner(jobs=1).run(build_jobs(_spec(seeds=self.SEEDS)))
+        daemon = _daemon(tmp_path / "s", cache=store)  # workers never started
+        return daemon, dict(zip(self.SEEDS, runs))
+
+    def _results(self, daemon, seeds, fmt="csv"):
+        status = daemon.submit(_spec(seeds=seeds))
+        assert status["state"] == DONE
+        return daemon.results(status["id"], fmt)["text"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memoized_rows_are_byte_identical(
+            self, tmp_path, monkeypatch, fmt):
+        daemon, runs = self._served(tmp_path)
+        # A miss, a hit, then mixed orders of remembered and new keys.
+        for seeds in ([2], [2], [1, 2], [3, 2, 1], [2, 3], [1, 3, 2]):
+            expected = runs_to_text([runs[seed] for seed in seeds], fmt)
+            assert self._results(daemon, seeds, fmt) == expected
+        gets = _counting(monkeypatch, "get")
+        for seeds in ([3, 1, 2], [1], [2, 3]):
+            expected = runs_to_text([runs[seed] for seed in seeds], fmt)
+            assert self._results(daemon, seeds, fmt) == expected
+        assert sum(gets.values()) == 0
+        # The other format is rendered from the store, once.
+        other = "json" if fmt == "csv" else "csv"
+        for _ in range(2):
+            assert self._results(daemon, [2, 1], other) == runs_to_text(
+                [runs[2], runs[1]], other)
+        assert sum(gets.values()) == 2
+
+    def test_an_entry_changed_after_serving_is_never_served(self, tmp_path):
+        daemon, runs = self._served(tmp_path)
+        expected = runs_to_text([runs[1], runs[2]], "csv")
+        status = daemon.submit(_spec(seeds=[1, 2]))
+        assert daemon.results(status["id"], "csv")["text"] == expected
+        key = build_jobs(_spec(seeds=[2]))[0].key()
+        entry = daemon.cache.directory / f"{key}.pkl"
+        entry.write_bytes(entry.read_bytes()[:20])  # truncated in place
+        with pytest.raises(ServiceError) as err:
+            daemon.results(status["id"], "csv")
+        assert err.value.code == "incomplete"
+        assert not entry.exists()  # the store read discarded it
+        again = daemon.submit(_spec(seeds=[1, 2]))
+        assert (again["id"], again["state"]) == (status["id"], QUEUED)
+        daemon.start()
+        assert daemon.wait_idle(timeout=300)
+        assert daemon.results(status["id"], "csv")["text"] == expected
+        # A same-size replacement is another file: read, found corrupt.
+        size = entry.stat().st_size
+        garbage = entry.with_name(entry.name + ".tmp")
+        garbage.write_bytes(b"\0" * size)
+        garbage.replace(entry)
+        with pytest.raises(ServiceError) as err:
+            daemon.results(status["id"], "csv")
+        assert err.value.code == "incomplete"
+        assert daemon.stop(timeout=10)
+
+    def test_the_memo_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_module, "RESULTS_KEPT", 2)
+        daemon, runs = self._served(tmp_path)
+        for seed in self.SEEDS:  # bound + 1 distinct keys
+            self._results(daemon, [seed])
+        assert len(daemon._rows) == 2
+        newest = [job.key() for job in build_jobs(_spec(seeds=[2, 3]))]
+        assert list(daemon._rows) == newest
+        # The forgotten key is read from the store again, to the same bytes.
+        assert self._results(daemon, [1]) == runs_to_text([runs[1]], "csv")
+        assert len(daemon._rows) == 2
+
+    def test_concurrent_results_share_the_memo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon_module, "RESULTS_KEPT", 2)
+        daemon, runs = self._served(tmp_path)
+        orders = ([1], [2, 3], [3, 1], [1, 2, 3], [2])
+        ids = [daemon.submit(_spec(seeds=seeds))["id"] for seeds in orders]
+        expected = [
+            runs_to_text([runs[seed] for seed in seeds], "csv")
+            for seeds in orders
+        ]
+        errors = []
+
+        def serve(offset):
+            try:
+                for turn in range(40):
+                    index = (offset + turn) % len(ids)
+                    text = daemon.results(ids[index], "csv")["text"]
+                    if text != expected[index]:
+                        errors.append(f"wrong text for {orders[index]}")
+            except Exception as exc:  # reported by the main thread
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=serve, args=(offset,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(daemon._rows) <= 2
+
+    def test_a_cleared_store_is_incomplete_after_serving(self, tmp_path):
+        daemon, _ = self._served(tmp_path)
+        status = daemon.submit(_spec(seeds=self.SEEDS))
+        daemon.results(status["id"], "csv")
+        daemon.cache.clear()
+        with pytest.raises(ServiceError) as err:
+            daemon.results(status["id"], "csv")
+        assert err.value.code == "incomplete"
 
 
 def _end_seen_with_terminal_state(batch):
